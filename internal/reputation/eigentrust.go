@@ -3,6 +3,7 @@ package reputation
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/p2psim/collusion/internal/metrics"
 	"github.com/p2psim/collusion/internal/obs"
@@ -53,13 +54,17 @@ type EigenTrust struct {
 	// MaxIter bounds the power iteration. The zero value selects
 	// DefaultMaxIter.
 	MaxIter int
-	// Workers sets the number of goroutines used to normalize the trust
-	// matrix and to run each power-iteration multiply. Values <= 1 select
-	// the sequential path. The parallel path is bit-identical to the
-	// sequential one for every worker count: the multiply is partitioned
-	// over output columns with fixed boundaries, each next[j] accumulates
-	// over rows i in the same ascending order as the sequential loop, and
-	// the damping and convergence pass stays on the calling goroutine.
+	// Workers sets the number of goroutines that build the trust matrix
+	// and run each power iteration. 0, the zero value, sizes the fan-out
+	// automatically: parallel.DefaultWorkers(), capped so that every
+	// worker gets at least 32,768 units of matrix work (columns plus
+	// ledger pairs), which keeps paper-scale networks sequential. 1 — or
+	// any negative value — selects the sequential path; larger values fix
+	// the goroutine count. Scores are bit-identical for every count: each
+	// output column is computed whole by one worker over rows in the
+	// sequential ascending order, row sums are exact integer sums in any
+	// order, and the convergence sum stays one serial chain on the calling
+	// goroutine (DESIGN.md §17).
 	Workers int
 	// Meter, if non-nil, accumulates the iteration cost.
 	Meter *metrics.CostMeter
@@ -76,10 +81,16 @@ type EigenTrust struct {
 	iterations int
 
 	// m is the sparse trust matrix of the last Scores call; its storage
-	// (and the iteration vectors below) is reused across calls, so
-	// repeated engine cycles stop re-allocating the edge arrays.
+	// (and the iteration vectors and partial row sums below) is reused
+	// across calls, so repeated engine cycles stop re-allocating the edge
+	// arrays.
 	m          etMatrix
 	p, t, next []float64
+	// blocks are the fixed column blocks of the last build; parts holds
+	// the partial row sums of blocks 1..w−1, n per block, while block 0
+	// accumulates into m.rowSum.
+	blocks []etBlock
+	parts  []float64
 }
 
 // etMatrix is the column-compressed normalized local-trust matrix. Column
@@ -103,6 +114,13 @@ const (
 	DefaultEpsilon = 1e-9
 	DefaultMaxIter = 100
 )
+
+// etGrain is the least matrix work, counted in columns plus ledger pairs,
+// that the auto-sized fan-out (Workers == 0) hands each worker. Below it
+// the goroutine start-up of each parallel pass costs more than the work
+// it splits, and a paper-scale network (n = 200, fewer than 40k pairs)
+// stays sequential.
+const etGrain = 1 << 15
 
 // NewEigenTrust returns an engine with default damping and convergence
 // parameters.
@@ -146,10 +164,7 @@ func (e *EigenTrust) params() (alpha, eps float64, maxIter int) {
 func (e *EigenTrust) Scores(l *Ledger) []float64 {
 	n := l.Size()
 	alpha, eps, maxIter := e.params()
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := e.fanout(l)
 
 	e.p = floatSlice(e.p, n)
 	e.pretrustInto(e.p)
@@ -166,7 +181,7 @@ func (e *EigenTrust) Scores(l *Ledger) []float64 {
 	e.iterations = 0
 	for iter := 0; iter < maxIter; iter++ {
 		e.iterations++
-		e.multiply(t, next, workers)
+		e.multiply(t, next, alpha, workers)
 		if e.Meter != nil {
 			// Cost-model policy: the meter still charges the dense n²
 			// multiply-add count arithmetically, whatever the storage
@@ -174,13 +189,12 @@ func (e *EigenTrust) Scores(l *Ledger) []float64 {
 			// and iteration count.
 			e.Meter.Add(metrics.CostEigenMulAdd, int64(n)*int64(n))
 		}
-		// Damping and the convergence test stay on the calling goroutine:
-		// they are O(n), and keeping their single left-to-right float
-		// accumulation chain guarantees the iteration count — and therefore
-		// the returned scores — cannot depend on the worker count.
+		// The convergence test stays on the calling goroutine: keeping
+		// its single left-to-right float accumulation chain guarantees the
+		// iteration count — and therefore the returned scores — cannot
+		// depend on the worker count.
 		delta := 0.0
 		for j := 0; j < n; j++ {
-			next[j] = (1-alpha)*next[j] + alpha*e.p[j]
 			delta += math.Abs(next[j] - t[j])
 		}
 		t, next = next, t
@@ -197,34 +211,67 @@ func (e *EigenTrust) Scores(l *Ledger) []float64 {
 	return out
 }
 
+// fanout resolves Workers into the goroutine count of one Scores call
+// over l, never more than one per column.
+func (e *EigenTrust) fanout(l *Ledger) int {
+	n := l.Size()
+	w := e.Workers
+	if w == 0 {
+		w = min(parallel.DefaultWorkers(), (n+l.pairCount(0, n))/etGrain)
+	}
+	return max(1, min(w, n))
+}
+
 // build constructs the column-compressed trust matrix straight from the
-// ledger's CSR views in one O(n + nnz) pass. Scanning targets j in
-// ascending order appends each column's edges with rater i ascending (the
-// ledger's adjacency order) and accumulates every rater's rowSum in
-// ascending j order — exactly the chain the dense reference's row scan
-// performs — so the normalized values below are bit-identical to dividing
-// a dense row by its sum.
+// ledger's CSR views in O(n + nnz), over fixed column blocks. Block w
+// appends its columns' positive edges, rater i ascending within each column
+// (the ledger's adjacency order), from slot base: the ledger pairs of the
+// blocks before it, an upper bound on their positive edges. It also
+// accumulates its own partial row sums. A serial pass then closes the
+// gaps between blocks, and a last pass normalizes every edge. Row sums are
+// sums of positive integers, exact in float64 in any order while a rater
+// has issued fewer than 2^53 ratings, so the summed partials carry the
+// bits of the dense reference's ascending-j chain and every normalized
+// value c_ij = s_ij / rowSum[i] is bit-identical for every worker count.
 func (e *EigenTrust) build(l *Ledger, n, workers int) {
 	m := &e.m
 	m.colOff = intSlice(m.colOff, n+1)
 	m.rowSum = floatSlice(m.rowSum, n)
-	for i := range m.rowSum {
-		m.rowSum[i] = 0
+	e.parts = floatSlice(e.parts, (workers-1)*n)
+	e.blocks = slices.Grow(e.blocks[:0], workers)[:workers]
+	slots := 0
+	for w := range e.blocks {
+		b := &e.blocks[w]
+		b.lo, b.hi, b.base = w*n/workers, (w+1)*n/workers, slots
+		slots += l.pairCount(b.lo, b.hi)
 	}
-	m.colRow = m.colRow[:0]
-	m.colVal = m.colVal[:0]
-	m.colOff[0] = 0
-	for j := 0; j < n; j++ {
-		pc := l.PairCountsOf(j)
-		for k, r := range pc.Raters {
-			if s := pc.Pos[k] - pc.Neg[k]; s > 0 {
-				m.colRow = append(m.colRow, r)
-				m.colVal = append(m.colVal, float64(s))
-				m.rowSum[r] += float64(s)
+	m.colRow = slices.Grow(m.colRow[:0], slots)[:slots]
+	m.colVal = slices.Grow(m.colVal[:0], slots)[:slots]
+	if workers == 1 {
+		e.appendColumns(l, &e.blocks[0], m.rowSum)
+	} else {
+		parallel.ForEach(workers, workers, func(w int) {
+			sum := m.rowSum
+			if w > 0 {
+				sum = e.parts[(w-1)*n : w*n]
 			}
-		}
-		m.colOff[j+1] = len(m.colRow)
+			e.appendColumns(l, &e.blocks[w], sum)
+		})
+		parallel.Blocks(workers, n, func(lo, hi int) { e.sumPartials(n, lo, hi) })
 	}
+	// Move each block's edges down behind the previous block's, shifting
+	// its column offsets alike; copy moves overlapping ranges safely.
+	nnz := e.blocks[0].end
+	for _, b := range e.blocks[1:] {
+		copy(m.colRow[nnz:], m.colRow[b.base:b.end])
+		copy(m.colVal[nnz:], m.colVal[b.base:b.end])
+		for j := b.lo; j < b.hi; j++ {
+			m.colOff[j+1] -= b.base - nnz
+		}
+		nnz += b.end - b.base
+	}
+	m.colOff[0] = 0
+	m.colRow, m.colVal = m.colRow[:nnz], m.colVal[:nnz]
 	// A peer with no positive experience defers to the pretrust
 	// distribution, as in the original algorithm. rowSum only accumulates
 	// values >= 1, so == 0 is exact "no positive edges".
@@ -234,88 +281,125 @@ func (e *EigenTrust) build(l *Ledger, n, workers int) {
 			m.dangling = append(m.dangling, int32(i))
 		}
 	}
-	// Normalize c_ij = s_ij / rowSum[i]: each edge is one independent
-	// division, so the fixed-boundary partition is bit-identical to the
-	// sequential pass for every worker count.
-	cv, cr, rs := m.colVal, m.colRow, m.rowSum
-	parallel.Blocks(workers, len(cv), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			cv[k] /= rs[cr[k]]
-		}
-	})
+	if workers == 1 {
+		e.normalize(0, nnz)
+	} else {
+		parallel.Blocks(workers, nnz, func(lo, hi int) { e.normalize(lo, hi) })
+	}
 }
 
-// multiply computes next = Cᵀt over the sparse matrix. The parallel path
-// partitions the output columns into fixed contiguous blocks; each worker
-// runs the same column kernel the sequential path runs, so the result is
-// bit-identical for every worker count.
+// etBlock is one column block of a matrix build: columns lo <= j < hi,
+// whose edges the append pass writes to slots base <= k < end.
+type etBlock struct {
+	lo, hi, base, end int
+}
+
+// appendColumns writes block b's positive edges from slot b.base on,
+// unnormalized, sets each column's end offset in colOff and b.end, and
+// accumulates the block's positive local trust into sum, which it clears
+// first.
+func (e *EigenTrust) appendColumns(l *Ledger, b *etBlock, sum []float64) {
+	m := &e.m
+	clear(sum)
+	at := b.base
+	for j := b.lo; j < b.hi; j++ {
+		pc := l.PairCountsOf(j)
+		for k, r := range pc.Raters {
+			if s := pc.Pos[k] - pc.Neg[k]; s > 0 {
+				m.colRow[at] = r
+				m.colVal[at] = float64(s)
+				sum[r] += float64(s)
+				at++
+			}
+		}
+		m.colOff[j+1] = at
+	}
+	b.end = at
+}
+
+// sumPartials folds the partial row sums of column blocks 1..w−1 into
+// rowSum for rows lo <= i < hi.
+func (e *EigenTrust) sumPartials(n, lo, hi int) {
+	rowSum := e.m.rowSum
+	for b := 0; b < len(e.parts); b += n {
+		part := e.parts[b : b+n]
+		for i := lo; i < hi; i++ {
+			rowSum[i] += part[i]
+		}
+	}
+}
+
+// normalize divides edges lo <= k < hi by their rater's row sum, giving
+// c_ij = s_ij / rowSum[i]; each is one independent division.
+func (e *EigenTrust) normalize(lo, hi int) {
+	m := &e.m
+	for k := lo; k < hi; k++ {
+		m.colVal[k] /= m.rowSum[m.colRow[k]]
+	}
+}
+
+// multiply computes one damped power-iteration step, next = (1−α)·Cᵀt +
+// α·p, over the sparse matrix. The parallel path partitions the output
+// columns into fixed contiguous blocks; each worker runs the same column
+// kernel the sequential path runs, so the result is bit-identical for
+// every worker count.
 //
 //colsim:hotpath
-func (e *EigenTrust) multiply(t, next []float64, workers int) {
+func (e *EigenTrust) multiply(t, next []float64, alpha float64, workers int) {
 	n := len(t)
 	if workers <= 1 {
-		e.multiplyColumns(t, next, 0, n)
+		e.multiplyColumns(t, next, alpha, 0, n)
 		return
 	}
 	parallel.Blocks(workers, n, func(jlo, jhi int) { //colsimlint:ignore hotalloc one worker-closure fan-out per multiply, amortized over the matrix's nonzeros
-		e.multiplyColumns(t, next, jlo, jhi)
+		e.multiplyColumns(t, next, alpha, jlo, jhi)
 	})
 }
 
-// multiplyColumns accumulates next[j] for columns jlo <= j < jhi. For each
+// multiplyColumns computes next[j] for columns jlo <= j < jhi. For each
 // column it merges the column's edge rows with the dangling rows in
 // strictly ascending row order — the two sets are disjoint, edge rows
 // contribute c_ij·t[i] and dangling rows p[j]·t[i] — reproducing the dense
-// reference's ascending-i accumulation chain term for term. Rows with
-// t[i] == 0 are skipped exactly as the dense loop skips them, and columns
-// with p[j] == 0 skip the dangling merge entirely: every accumulated value
-// is non-negative, so the skipped terms are IEEE +0 additions, which leave
-// the accumulator bit-identical.
+// reference's ascending-i accumulation chain, then damps the sum exactly as
+// the reference does. The reference skips rows with t[i] == 0; the kernel
+// adds their terms without testing, and columns with p[j] == 0 skip the
+// dangling merge entirely: every term is non-negative, so a term the
+// reference skips is an IEEE +0 that leaves the accumulator bit-identical.
+// Testing t[i] per edge would only add a branch that mispredicts whenever
+// trust is patchy, as it is while it spreads from a few pretrusted peers.
 //
 //colsim:hotpath
-func (e *EigenTrust) multiplyColumns(t, next []float64, jlo, jhi int) {
+func (e *EigenTrust) multiplyColumns(t, next []float64, alpha float64, jlo, jhi int) {
 	m := &e.m
 	colOff, colRow, colVal := m.colOff, m.colRow, m.colVal
 	dang := m.dangling
 	p := e.p
+	keep := 1 - alpha
 	for j := jlo; j < jhi; j++ {
 		acc := 0.0
 		ke, keEnd := colOff[j], colOff[j+1]
 		pj := p[j]
-		if pj == 0 {
-			for ; ke < keEnd; ke++ {
-				if ti := t[colRow[ke]]; ti != 0 {
-					acc += colVal[ke] * ti
+		if pj != 0 {
+			kd, kdEnd := 0, len(dang)
+			for ke < keEnd && kd < kdEnd {
+				if colRow[ke] < dang[kd] {
+					acc += colVal[ke] * t[colRow[ke]]
+					ke++
+				} else {
+					acc += pj * t[dang[kd]]
+					kd++
 				}
 			}
-			next[j] = acc
-			continue
-		}
-		kd, kdEnd := 0, len(dang)
-		for ke < keEnd && kd < kdEnd {
-			if colRow[ke] < dang[kd] {
-				if ti := t[colRow[ke]]; ti != 0 {
-					acc += colVal[ke] * ti
-				}
-				ke++
-			} else {
-				if ti := t[dang[kd]]; ti != 0 {
-					acc += pj * ti
-				}
-				kd++
+			for ; kd < kdEnd; kd++ {
+				acc += pj * t[dang[kd]]
 			}
 		}
-		for ; ke < keEnd; ke++ {
-			if ti := t[colRow[ke]]; ti != 0 {
-				acc += colVal[ke] * ti
-			}
+		rows, vals := colRow[ke:keEnd], colVal[ke:keEnd]
+		vals = vals[:len(rows)] // equal lengths drop the vals[k] bounds check
+		for k, i := range rows {
+			acc += vals[k] * t[i]
 		}
-		for ; kd < kdEnd; kd++ {
-			if ti := t[dang[kd]]; ti != 0 {
-				acc += pj * ti
-			}
-		}
-		next[j] = acc
+		next[j] = keep*acc + alpha*pj
 	}
 }
 

@@ -70,16 +70,29 @@ func BenchmarkEigenTrustMultiplySparse100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.multiply(t, next, 1)
+		e.multiply(t, next, DefaultAlpha, 1)
 	}
 }
 
 // BenchmarkEigenTrustScoresSparse100k is the full engine at n=100k:
-// build + damped power iteration at the simulator's convergence tolerance.
+// build + damped power iteration at the simulator's convergence tolerance,
+// with the auto-sized fan-out (Workers: 0) the simulator and service use.
 func BenchmarkEigenTrustScoresSparse100k(b *testing.B) {
+	benchScores100k(b, 0)
+}
+
+// BenchmarkEigenTrustScoresSparse100kSequential is the same call pinned
+// to the sequential path (Workers: 1), so the baseline gates the kernel's
+// cost separately from the fan-out's gain.
+func BenchmarkEigenTrustScoresSparse100kSequential(b *testing.B) {
+	benchScores100k(b, 1)
+}
+
+func benchScores100k(b *testing.B, workers int) {
 	l := eigenBenchLedger100k()
 	e := NewEigenTrust([]int{0, 1, 2})
 	e.Epsilon = 1e-4
+	e.Workers = workers
 	e.Scores(l) // warm the engine-owned scratch: steady state is the contract
 	b.ReportAllocs()
 	b.ResetTimer()

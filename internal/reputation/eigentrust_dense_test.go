@@ -3,6 +3,7 @@ package reputation
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/p2psim/collusion/internal/metrics"
@@ -116,7 +117,49 @@ func assertBitIdentical(t *testing.T, ctx string, got, want []float64, gotIters,
 	}
 }
 
-var equivalenceWorkerCounts = []int{1, 2, 4, 8}
+// equivalenceWorkerCounts are the Workers values every equivalence test
+// runs: 0 is the auto-sized fan-out, 1 the sequential path.
+var equivalenceWorkerCounts = []int{0, 1, 2, 3, 4, 8}
+
+// atLeastProcs raises GOMAXPROCS to procs for the rest of the test when it
+// is lower, so the auto-sized fan-out has processors to spread over even
+// on a one-core host.
+func atLeastProcs(tb testing.TB, procs int) {
+	if prev := runtime.GOMAXPROCS(0); prev < procs {
+		runtime.GOMAXPROCS(procs)
+		tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// aboveGrainLedger is a 600-node network whose columns plus pairs exceed
+// two fan-out grains, so Workers == 0 fans out whenever GOMAXPROCS >= 2,
+// while the dense reference stays cheap. Nodes [0, 200) form a positive
+// chain 0 → 1 → … → 199 that trust from the single pretrusted peer 0 walks
+// one hop per iteration. Nodes [200, 600) rate each other and the chain
+// with mixed polarity (some of their rows dangle), but no chain node rates
+// them, so their trust stays exactly zero for the whole run: every edge
+// and dangling term they contribute is the IEEE +0 the kernel's dropped
+// t[i] != 0 test used to skip.
+func aboveGrainLedger(seed uint64) *Ledger {
+	const n, chain = 600, 200
+	r := rng.New(seed).Child("above-grain")
+	l := NewLedger(n)
+	for i := 0; i+1 < chain; i++ {
+		l.Record(i, i+1, 1)
+	}
+	for k := 0; k < 110_000; k++ {
+		i, j := chain+r.Intn(n-chain), r.Intn(n)
+		if i == j {
+			continue
+		}
+		pol := 1
+		if r.Bool(0.35) {
+			pol = -1
+		}
+		l.Record(i, j, pol)
+	}
+	return l
+}
 
 // TestEigenTrustSparseMatchesDenseReference is the tentpole equivalence
 // pin: randomized ledgers (mixed polarity, dangling rows, messy pretrust
@@ -124,36 +167,54 @@ var equivalenceWorkerCounts = []int{1, 2, 4, 8}
 // bit-identical to the preserved dense reference for every tested worker
 // count, with identical iteration counts and an unchanged (dense n²)
 // metered cost. One persistent engine per worker count exercises the
-// cross-call scratch reuse while n varies trial to trial.
+// cross-call scratch reuse while n varies trial to trial. The random
+// trials sit below the fan-out grain; the last two ledgers sit above it,
+// so Workers == 0 really fans out there.
 func TestEigenTrustSparseMatchesDenseReference(t *testing.T) {
+	atLeastProcs(t, 4)
 	r := rng.New(11).Child("sparse-vs-dense")
 	engines := make(map[int]*EigenTrust, len(equivalenceWorkerCounts))
 	for _, w := range equivalenceWorkerCounts {
 		engines[w] = &EigenTrust{Workers: w}
 	}
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + r.Intn(120)
-		l := NewLedger(n)
-		ratings := r.Intn(8*n + 1)
-		for k := 0; k < ratings; k++ {
-			i, j := r.Intn(n), r.Intn(n)
-			if i == j {
-				continue
+	const trials = 30
+	for trial := 0; trial < trials+2; trial++ {
+		var l *Ledger
+		switch trial {
+		case trials: // above the grain, single pretrusted peer
+			l = aboveGrainLedger(uint64(trial))
+		case trials + 1: // above the grain, dense mixed polarity
+			l = randomTrustLedger(uint64(trial), 500, 150_000)
+		default:
+			n := 1 + r.Intn(120)
+			l = NewLedger(n)
+			ratings := r.Intn(8*n + 1)
+			for k := 0; k < ratings; k++ {
+				i, j := r.Intn(n), r.Intn(n)
+				if i == j {
+					continue
+				}
+				pol := 1
+				if r.Bool(0.35) {
+					pol = -1
+				}
+				l.Record(i, j, pol)
 			}
-			pol := 1
-			if r.Bool(0.35) {
-				pol = -1
-			}
-			l.Record(i, j, pol)
+		}
+		n := l.Size()
+		if auto := (&EigenTrust{}).fanout(l); trial >= trials && auto < 2 {
+			t.Fatalf("trial=%d n=%d: auto-sized fan-out is %d, want >= 2 above the grain", trial, n, auto)
 		}
 		var pre []int
-		switch trial % 3 {
-		case 0: // none configured: uniform pretrust over everyone
-		case 1: // clean pretrust set
+		switch {
+		case trial == trials: // the chain's single pretrusted peer
+			pre = []int{0}
+		case trial%3 == 0: // none configured: uniform pretrust over everyone
+		case trial%3 == 1: // clean pretrust set
 			for m := 0; m <= r.Intn(3); m++ {
 				pre = append(pre, r.Intn(n))
 			}
-		case 2: // messy: duplicates and out-of-range entries
+		default: // messy: duplicates and out-of-range entries
 			pre = []int{-1, n, n + 7}
 			for m := 0; m <= r.Intn(3); m++ {
 				idx := r.Intn(n)
@@ -266,17 +327,56 @@ func TestEigenTrustPretrustDedup(t *testing.T) {
 }
 
 // TestEigenTrustScratchReuseAllocs pins the O(n + nnz) allocation
-// contract: after the first call warms the engine-owned matrix and vector
-// scratch, repeated Scores calls allocate only the returned copy and the
-// normalization closure — never per-row storage.
+// contract: after the first call warms the engine-owned matrix, vector and
+// partial-sum scratch, repeated Scores calls never allocate per-row or
+// per-edge storage. The sequential path allocates only the returned copy.
+// The fanned-out path adds the goroutine fan-out's bookkeeping, a constant
+// per parallel pass (three build passes plus one per iteration), so fan-out
+// garbage that grows with the matrix or the worker count fails here.
 func TestEigenTrustScratchReuseAllocs(t *testing.T) {
 	l := randomTrustLedger(3, 400, 4000)
 	e := NewEigenTrust([]int{0, 1, 2})
+	e.Workers = 1
 	e.Scores(l) // warm the scratch
-	allocs := testing.AllocsPerRun(10, func() { e.Scores(l) })
-	if allocs > 3 {
-		t.Fatalf("steady-state Scores made %v allocations, want <= 3 (result copy + normalization closure)", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { e.Scores(l) }); allocs > 1 {
+		t.Fatalf("steady-state sequential Scores made %v allocations, want <= 1 (the result copy)", allocs)
 	}
+
+	atLeastProcs(t, 4)
+	big := aboveGrainLedger(3)
+	auto := NewEigenTrust([]int{0})
+	workers := auto.fanout(big)
+	if workers < 2 {
+		t.Fatalf("auto-sized fan-out is %d above the grain, want >= 2", workers)
+	}
+	allocs := mallocsPerCall(10, func() { auto.Scores(big) })
+	passes := 3 + auto.Iterations()
+	if limit := float64(1 + passes*(etPassAllocs+workers)); allocs > limit {
+		t.Fatalf("steady-state auto-sized Scores (%d workers, %d passes) made %v allocations, want <= %v",
+			workers, passes, allocs, limit)
+	}
+}
+
+// etPassAllocs bounds the allocations of one parallel pass beyond one
+// goroutine closure per worker: the pass closure, the block closure,
+// ForEach's counter, wait group and panic slot, and one more for the
+// runtime, which now and then allocates a goroutine descriptor when its
+// free list runs dry.
+const etPassAllocs = 6
+
+// mallocsPerCall returns fn's average heap allocation count over runs
+// calls after one warm-up call. Unlike testing.AllocsPerRun, which pins
+// GOMAXPROCS to 1 and so would turn the auto-sized fan-out sequential, it
+// measures at the current GOMAXPROCS.
+func mallocsPerCall(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestEigenTrustMillionNodeSmoke demonstrates the new scale ceiling: a

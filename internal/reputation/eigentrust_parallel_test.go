@@ -1,6 +1,8 @@
 package reputation
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/p2psim/collusion/internal/metrics"
@@ -27,20 +29,29 @@ func randomTrustLedger(seed uint64, n, ratings int) *Ledger {
 	return l
 }
 
-// TestEigenTrustWorkersBitIdentical pins the tentpole determinism claim:
-// the row-partitioned parallel power iteration returns bit-identical
-// scores, the same iteration count, and the same metered cost as the
-// sequential path, for every worker count.
+// TestEigenTrustWorkersBitIdentical pins the determinism claim: the
+// column-partitioned parallel build and power iteration return
+// bit-identical scores, the same iteration count, and the same metered
+// cost as the sequential path (Workers: 1), for every worker count —
+// including the auto-sized fan-out (Workers: 0), which the last ledger is
+// large enough to engage.
 func TestEigenTrustWorkersBitIdentical(t *testing.T) {
+	atLeastProcs(t, 4)
+	var ledgers []*Ledger
 	for _, n := range []int{1, 7, 50, 128} {
-		l := randomTrustLedger(uint64(n), n, n*20)
+		ledgers = append(ledgers, randomTrustLedger(uint64(n), n, n*20))
+	}
+	ledgers = append(ledgers, aboveGrainLedger(1))
+	for _, l := range ledgers {
+		n := l.Size()
 		var seqMeter metrics.CostMeter
 		seq := NewEigenTrust([]int{0, 1, 2})
+		seq.Workers = 1
 		seq.Meter = &seqMeter
 		want := seq.Scores(l)
 		wantIters := seq.Iterations()
 
-		for _, workers := range []int{2, 3, 4, 16, 100} {
+		for _, workers := range []int{0, 2, 3, 4, 16, 100} {
 			var meter metrics.CostMeter
 			par := NewEigenTrust([]int{0, 1, 2})
 			par.Workers = workers
@@ -51,7 +62,7 @@ func TestEigenTrustWorkersBitIdentical(t *testing.T) {
 					n, workers, par.Iterations(), wantIters)
 			}
 			for j := range want {
-				if got[j] != want[j] {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("n=%d workers=%d: score[%d] = %v, sequential %v (must be bit-identical)",
 						n, workers, j, got[j], want[j])
 				}
@@ -60,6 +71,56 @@ func TestEigenTrustWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: metered cost %d, sequential %d", n, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestEigenTrustAutoFanout pins how Workers resolves into a goroutine
+// count: 0 takes GOMAXPROCS capped at one worker per etGrain of columns
+// plus pairs, 1 and negative values run sequentially, and no count
+// exceeds one worker per column.
+func TestEigenTrustAutoFanout(t *testing.T) {
+	atLeastProcs(t, 4)
+	procs := runtime.GOMAXPROCS(0)
+
+	// A complete paper-scale network: every ordered pair rated.
+	const paper = 200
+	full := NewLedger(paper)
+	for i := 0; i < paper; i++ {
+		for j := 0; j < paper; j++ {
+			if i != j {
+				full.Record(i, j, 1)
+			}
+		}
+	}
+	big := aboveGrainLedger(2)
+	bigWork := big.Size() + big.pairCount(0, big.Size())
+	cases := []struct {
+		name    string
+		workers int
+		l       *Ledger
+		want    int
+	}{
+		{"auto/paper-scale", 0, full, 1},
+		{"auto/above-grain", 0, big, min(procs, bigWork/etGrain)},
+		{"sequential", 1, big, 1},
+		{"negative", -3, big, 1},
+		{"fixed", 3, big, 3},
+		{"fixed/capped-at-columns", 100, NewLedger(7), 7},
+	}
+	for _, c := range cases {
+		e := &EigenTrust{Workers: c.workers}
+		if got := e.fanout(c.l); got != c.want {
+			t.Errorf("%s: fanout = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if bigWork/etGrain < 2 {
+		t.Fatalf("above-grain ledger has %d units of work, want >= %d", bigWork, 2*etGrain)
+	}
+
+	runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
+	if got := (&EigenTrust{}).fanout(big); got != 1 {
+		t.Errorf("auto at GOMAXPROCS=1: fanout = %d, want 1", got)
 	}
 }
 

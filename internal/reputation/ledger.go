@@ -88,6 +88,17 @@ func NewLedger(n int) *Ledger {
 // Size returns the node population the ledger covers.
 func (l *Ledger) Size() int { return l.n }
 
+// pairCount returns the number of active (target, rater) pairs in target
+// rows lo <= j < hi — the ledger's nnz over that range — in one pass over
+// the row headers.
+func (l *Ledger) pairCount(lo, hi int) int {
+	nnz := 0
+	for _, r := range l.rows[lo:hi] {
+		nnz += int(r.n)
+	}
+	return nnz
+}
+
 // row returns the four live column views of target's adjacency span (nil
 // for an empty row).
 func (l *Ledger) row(target int) (rs, tot, pos, neg []int32) {

@@ -179,7 +179,9 @@ type Config struct {
 	Thresholds core.Thresholds
 	// Workers sets the number of goroutines used by the parallelizable
 	// stages inside a run — currently the EigenTrust matrix build and
-	// power-iteration multiply. Values <= 1 select the sequential paths.
+	// power iteration. 0 sizes the fan-out automatically from GOMAXPROCS
+	// and the matrix size (paper-scale networks stay sequential), 1
+	// selects the sequential paths, and negative values are rejected.
 	// Every worker count produces bit-identical results; see the
 	// reputation.EigenTrust.Workers documentation for why.
 	Workers int
@@ -382,6 +384,9 @@ func (c Config) Validate() error {
 	}
 	if c.WindowCycles < 0 {
 		return fmt.Errorf("simulator: WindowCycles = %d, want >= 0", c.WindowCycles)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("simulator: Workers = %d, want >= 0", c.Workers)
 	}
 	if c.IngestShards < 0 {
 		return fmt.Errorf("simulator: IngestShards = %d, want >= 0", c.IngestShards)

@@ -33,6 +33,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SimCycles = 0 },
 		func(c *Config) { c.QueryCycles = 0 },
 		func(c *Config) { c.CollusionRatings = -1 },
+		func(c *Config) { c.Workers = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := smallConfig()
