@@ -57,14 +57,15 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson > bench_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_detect.json bench_new.json
 
-# Coverage gate for the observability layer and the resident service: the
-# canonical trace encoding, metric exporters, snapshot plane and request
-# codec underpin byte-identical replays, so they must stay tested (>= 70%
-# of statements).
+# Coverage gate for the observability layer, the resident service and the
+# epoch transition they share with the simulator: the canonical trace
+# encoding, metric exporters, snapshot plane, request codec and epoch
+# transition underpin byte-identical replays, so they must stay tested
+# (>= 70% of statements).
 cover:
-	$(GO) test -coverprofile=cover_obs.out ./internal/obs/... ./internal/service/...
+	$(GO) test -coverprofile=cover_obs.out ./internal/obs/... ./internal/service/... ./internal/epoch/...
 	@total=$$($(GO) tool cover -func=cover_obs.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
-	echo "internal/obs + internal/service coverage: $$total%"; \
+	echo "internal/obs + internal/service + internal/epoch coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { if (t + 0 < 70) { print "coverage below 70%"; exit 1 } }'
 
 # Run every fuzz target in the fuzzed packages for a short burst each; the

@@ -11,7 +11,7 @@
 //	       [-engine eigentrust|summation|weighted|iterative|similarity]
 //	       [-detector none|basic|optimized|group|sybil]
 //	       [-compromised] [-ring 0] [-swarm 0] [-cycles 20] [-window 0]
-//	       [-ingest-shards 0] [-full-detect] [-runs 1] [-seed 1]
+//	       [-ingest-shards 0] [-runs 1] [-seed 1]
 //	       [-trace trace.jsonl] [-metrics metrics.json|metrics.prom]
 //	       [-spans spans.jsonl] [-progress progress.jsonl]
 //	       [-telemetry-addr :9090] [-telemetry-linger 30s]
@@ -70,8 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		swarmSize       = fs.Int("swarm", 0, "also plant one Sybil swarm with this many fake boosters (>= 2)")
 		cycles          = fs.Int("cycles", 20, "simulation cycles")
 		window          = fs.Int("window", 0, "sliding-window length in simulation cycles (0: cumulative)")
-		shards          = fs.Int("ingest-shards", 0, "writer goroutines for sharded rating ingest (0: immediate single-writer records)")
-		fullDetect      = fs.Bool("full-detect", false, "run every detection cycle from scratch instead of incrementally (identical output, higher cost)")
+		shards          = fs.Int("ingest-shards", 0, "writer goroutines for sharded rating ingest (0: direct single-writer records)")
 		runs            = fs.Int("runs", 1, "runs to average")
 		seed            = fs.Uint64("seed", 1, "random seed")
 		tracePath       = fs.String("trace", "", "write the deterministic JSONL run trace to this file")
@@ -98,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.SimCycles = *cycles
 	cfg.WindowCycles = *window
 	cfg.IngestShards = *shards
-	cfg.FullDetect = *fullDetect
 	cfg.ColluderGoodProb = *b
 	cfg.Colluders = make([]int, *colluders)
 	for i := range cfg.Colluders {

@@ -154,3 +154,26 @@ func TestRunTelemetryServer(t *testing.T) {
 		t.Fatalf("listen address not announced:\n%s", stdout.String())
 	}
 }
+
+// TestReplayOutWriteFailure pins that a -replay-out file whose writes
+// fail is reported: replaying to /dev/full (every write fails with
+// ENOSPC) must return an error rather than announce the file.
+func TestReplayOutWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	reqs := filepath.Join(t.TempDir(), "reqs.jsonl")
+	scenario := []string{"-nodes", "60", "-cycles", "3", "-colluders", "2", "-detector", "optimized"}
+	var out bytes.Buffer
+	if err := run(append([]string{"-serve", "-record-requests", reqs}, scenario...), &out, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err := run(append([]string{"-replay-requests", reqs, "-replay-out", "/dev/full"}, scenario...), &out, &out)
+	if err == nil {
+		t.Fatalf("replay to /dev/full succeeded:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "replay responses written") {
+		t.Fatalf("failed replay announced its output:\n%s", out.String())
+	}
+}

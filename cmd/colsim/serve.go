@@ -54,7 +54,6 @@ func newStore(cfg collusion.SimConfig, reg *obs.Registry, o serviceOpts) (*servi
 		Thresholds:   built.DetectionThresholds(),
 		IngestShards: built.IngestShards,
 		WindowCycles: built.WindowCycles,
-		FullDetect:   built.FullDetect,
 		Obs:          reg,
 		Tracer:       tracer,
 	}
@@ -230,29 +229,35 @@ func serveSimulation(stdout io.Writer, cfg collusion.SimConfig, st *service.Stor
 // replayRequests feeds a recorded JSONL request log through the store in
 // order, writing each response line to -replay-out (stdout by default).
 // Replaying the same log against the same configuration reproduces the
-// original served run byte for byte.
+// original served run byte for byte. A failed flush or close of
+// -replay-out is an error: the responses were not all written.
 func replayRequests(stdout io.Writer, st *service.Store, o serviceOpts) error {
 	in, err := os.Open(o.replayPath)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = in.Close() }()
-	var out io.Writer = stdout
-	if o.replayOut != "" {
-		f, err := os.Create(o.replayOut)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = f.Close() }()
-		bw := bufio.NewWriter(f)
-		defer func() { _ = bw.Flush() }()
-		out = bw
+	if o.replayOut == "" {
+		return service.Replay(st, in, stdout)
 	}
-	if err := service.Replay(st, in, out); err != nil {
+	f, err := os.Create(o.replayOut)
+	if err != nil {
 		return err
 	}
-	if o.replayOut != "" {
-		fmt.Fprintf(stdout, "replay responses written to %s\n", o.replayOut)
+	bw := bufio.NewWriter(f)
+	if err := service.Replay(st, in, bw); err != nil {
+		// Keep the responses written before the failing line.
+		_ = bw.Flush()
+		_ = f.Close()
+		return err
 	}
+	if err := bw.Flush(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("replay-out: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("replay-out: %w", err)
+	}
+	fmt.Fprintf(stdout, "replay responses written to %s\n", o.replayOut)
 	return nil
 }

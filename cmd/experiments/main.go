@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-fig all|ablations|fig1a|...|fig13|ab-*] [-runs 5] [-seed 1] [-scale 1.0] [-workers 0] [-full-detect] [-out dir]
+//	experiments [-fig all|ablations|fig1a|...|fig13|ab-*] [-runs 5] [-seed 1] [-scale 1.0] [-workers 0] [-out dir]
 //	            [-trace trace.jsonl] [-metrics metrics.json|metrics.prom]
 //	            [-progress progress.jsonl] [-telemetry-addr :9090] [-telemetry-linger 30s]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -52,8 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "root random seed")
 		scale   = fs.Float64("scale", 1.0, "synthetic-trace volume scale")
 		workers = fs.Int("workers", 0, "worker goroutines for the parallel engine (0: GOMAXPROCS; output is identical for every value)")
-		shards  = fs.Int("ingest-shards", 0, "writer goroutines for sharded rating ingest inside each simulation (0: immediate single-writer records)")
-		full    = fs.Bool("full-detect", false, "run every detection cycle from scratch instead of incrementally (identical output, higher cost)")
+		shards  = fs.Int("ingest-shards", 0, "writer goroutines for sharded rating ingest inside each simulation (0: direct single-writer records)")
 		out     = fs.String("out", "", "directory for CSV export (empty: no files)")
 
 		tracePath       = fs.String("trace", "", "write the deterministic JSONL run trace to this file")
@@ -72,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if w <= 0 {
 		w = parallel.DefaultWorkers()
 	}
-	opts := experiments.Options{Seed: *seed, Runs: *runs, Scale: *scale, Workers: w, IngestShards: *shards, FullDetect: *full}
+	opts := experiments.Options{Seed: *seed, Runs: *runs, Scale: *scale, Workers: w, IngestShards: *shards}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		sink, err := obs.NewFileSink(*tracePath)

@@ -69,7 +69,6 @@ func detectionQuality(opts Options, th core.Thresholds) (precision, recall, late
 	for run := 0; run < opts.Runs; run++ {
 		cfg := simulator.DefaultConfig()
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Seed = opts.Seed + uint64(run)*77
 		cfg.ColluderGoodProb = 0.2
 		cfg.Detector = simulator.DetectorOptimized
@@ -124,7 +123,6 @@ func AbStrict(opts Options) (*Table, error) {
 	for _, strict := range []bool{false, true} {
 		cfg := simulator.DefaultConfig()
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.CompromisedPairs = [][2]int{{0, 3}, {1, 5}}
@@ -170,7 +168,6 @@ func AbManagers(opts Options) (*Table, error) {
 	// Build one Figure 10-style ledger.
 	cfg := simulator.DefaultConfig()
 	cfg.IngestShards = opts.IngestShards
-	cfg.FullDetect = opts.FullDetect
 	cfg.Seed = opts.Seed
 	cfg.ColluderGoodProb = 0.2
 	res, err := simulator.Run(cfg)
@@ -232,7 +229,6 @@ func AbFalsePositives(opts Options) (*Table, error) {
 		for run := 0; run < opts.Runs; run++ {
 			cfg := simulator.DefaultConfig()
 			cfg.IngestShards = opts.IngestShards
-			cfg.FullDetect = opts.FullDetect
 			cfg.Seed = opts.Seed + uint64(run)*131
 			cfg.Colluders = nil
 			cfg.Detector = det
@@ -274,7 +270,6 @@ func AbGroup(opts Options) (*Table, error) {
 		for _, det := range []simulator.DetectorKind{simulator.DetectorOptimized, simulator.DetectorGroup} {
 			cfg := simulator.DefaultConfig()
 			cfg.IngestShards = opts.IngestShards
-			cfg.FullDetect = opts.FullDetect
 			cfg.Seed = opts.Seed
 			cfg.ColluderGoodProb = 0.2
 			cfg.Detector = det
@@ -320,7 +315,6 @@ func AbSybil(opts Options) (*Table, error) {
 	} {
 		cfg := simulator.DefaultConfig()
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.Colluders = nil
@@ -365,7 +359,6 @@ func AbEngines(opts Options) (*Table, error) {
 		for _, b := range []float64{0.6, 0.2} {
 			cfg := simulator.DefaultConfig()
 			cfg.IngestShards = opts.IngestShards
-			cfg.FullDetect = opts.FullDetect
 			cfg.Seed = opts.Seed
 			cfg.ColluderGoodProb = b
 			cfg.Engine = engine
@@ -415,7 +408,6 @@ func AbTimeline(opts Options) (*Table, error) {
 	for _, det := range []simulator.DetectorKind{simulator.DetectorNone, simulator.DetectorOptimized} {
 		cfg := simulator.DefaultConfig()
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Seed = opts.Seed
 		cfg.Detector = det
 		var timeline [][2]float64

@@ -38,7 +38,6 @@ func AbScale(opts Options) (*Table, error) {
 		for _, det := range []simulator.DetectorKind{simulator.DetectorNone, simulator.DetectorOptimized} {
 			cfg := simulator.DefaultConfig()
 			cfg.IngestShards = opts.IngestShards
-			cfg.FullDetect = opts.FullDetect
 			cfg.Seed = opts.Seed
 			cfg.Overlay.Nodes = n
 			cfg.ColluderGoodProb = 0.2
@@ -71,7 +70,6 @@ func AbChurn(opts Options) (*Table, error) {
 	opts = opts.normalized()
 	cfg := simulator.DefaultConfig()
 	cfg.IngestShards = opts.IngestShards
-	cfg.FullDetect = opts.FullDetect
 	cfg.Seed = opts.Seed
 	cfg.ColluderGoodProb = 0.2
 	res, err := simulator.Run(cfg)
@@ -150,7 +148,6 @@ func AbIntensity(opts Options) (*Table, error) {
 	for _, intensity := range []int{1, 2, 5, 10, 20} {
 		cfg := simulator.DefaultConfig()
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.Detector = simulator.DetectorOptimized
@@ -202,7 +199,6 @@ func AbDecentralizedLive(opts Options) (*Table, error) {
 		th := simulator.SimThresholds()
 		cfg := simulator.DefaultConfig()
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.Colluders = colluderSet(nc)

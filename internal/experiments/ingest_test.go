@@ -9,7 +9,7 @@ import (
 
 // TestIngestShardsByteIdenticalArtifacts extends the parallel acceptance
 // gate to the streaming intake path: a figure run with IngestShards=0
-// (legacy immediate records), 1 (batched sequential) and 4 (sharded
+// (direct records), 1 (one ingest writer) and 4 (sharded
 // writers) must render byte-identical text and CSV artifacts — the
 // sharded pipeline may change how ledgers are built, never what any
 // experiment reports.

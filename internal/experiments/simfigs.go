@@ -20,7 +20,6 @@ func reputationFigure(id, title string, cfg simulator.Config, opts Options, note
 	cfg.Seed = opts.Seed
 	cfg.Workers = opts.Workers
 	cfg.IngestShards = opts.IngestShards
-	cfg.FullDetect = opts.FullDetect
 	cfg.Tracer = opts.Tracer // RunAveragedParallel forks per run internally
 	cfg.Obs = opts.Obs
 	cfg.Progress = opts.Progress
@@ -133,7 +132,6 @@ func Fig8(opts Options) (*Table, error) {
 	base.Engine = simulator.EngineSummation
 	base.Seed = opts.Seed
 	base.IngestShards = opts.IngestShards
-	base.FullDetect = opts.FullDetect
 
 	// One cell per detector kind; cells run concurrently and land in
 	// index-ordered slots, so the table is identical for every Workers.
@@ -267,7 +265,6 @@ func Fig12(opts Options) (*Table, error) {
 		cfg.Colluders = colluderSet(nc)
 		cfg.Detector = det
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Tracer = kids[c]
 		cfg.Obs = opts.Obs
 		cfg.Progress = opts.Progress
@@ -332,7 +329,6 @@ func Fig13(opts Options) (*Table, error) {
 		cfg.Colluders = colluderSet(nc)
 		cfg.Meter = &meter
 		cfg.IngestShards = opts.IngestShards
-		cfg.FullDetect = opts.FullDetect
 		cfg.Tracer = kids[c]
 		cfg.Obs = opts.Obs
 		cfg.Progress = opts.Progress

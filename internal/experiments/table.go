@@ -173,12 +173,6 @@ type Options struct {
 	// byte-identical for every value >= 1 (and for 0 up to the absence of
 	// ingest_audit trace events); see simulator.Config.IngestShards.
 	IngestShards int
-	// FullDetect is forwarded to every simulation the drivers run: when
-	// set, detectors take the from-scratch Detect path each cycle instead
-	// of memoized incremental screening. Artifacts are byte-identical
-	// either way — the flag exists to measure that equivalence (and the
-	// cost gap); see simulator.Config.FullDetect.
-	FullDetect bool
 	// Tracer, if enabled, threads the observability run trace through
 	// every simulation a driver performs. Cell-parallel figures fork one
 	// buffered child tracer per cell and join them in cell order, so the

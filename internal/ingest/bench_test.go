@@ -157,7 +157,7 @@ func BenchmarkWindowedIncrementalDetect(b *testing.B) {
 }
 
 // BenchmarkWindowedFullDetect is the from-scratch baseline over the same
-// stream (the simulator's FullDetect path).
+// stream (what an epoch runs when its detector is not incremental).
 func BenchmarkWindowedFullDetect(b *testing.B) {
 	r := rng.New(13)
 	win := NewWindowLedger(wdBenchNodes, wdBenchWindow)

@@ -21,6 +21,7 @@ var restrictedTrees = []string{
 	"internal/experiments",
 	"internal/obs",
 	"internal/service",
+	"internal/epoch",
 }
 
 // exemptTrees carves explicitly-unseeded subtrees out of the restricted

@@ -173,6 +173,14 @@ func TestDeterminismServiceRestricted(t *testing.T) {
 	checkFixture(t, lint.DeterminismAnalyzer, pkg)
 }
 
+// TestDeterminismEpochRestricted proves the epoch transition that the
+// simulator and the service share is a seeded tree: the dirty fixture
+// under internal/epoch yields the same findings as under internal/core.
+func TestDeterminismEpochRestricted(t *testing.T) {
+	pkg := loadFixture(t, "determinism", "internal/epoch/lintfixture")
+	checkFixture(t, lint.DeterminismAnalyzer, pkg)
+}
+
 // TestDeterminismServiceHTTPExempt proves the service's HTTP request
 // plane is carved out like internal/obs/serve: request-latency timing
 // legitimately reads the wall clock, so the same dirty fixture produces

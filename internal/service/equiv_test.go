@@ -69,7 +69,9 @@ func stripServiceMetrics(dump []byte) string {
 // ratings applied to the store as one epoch — must be byte-identical to
 // the plain batch run of the same configuration, at EVERY epoch for the
 // scores and at the end for the flag set, first-detection epochs,
-// evidence pairs, frozen ledger and registry metrics. The combos sweep
+// evidence pairs, frozen ledger and registry metrics. Both planes drive
+// the same epoch transition (internal/epoch), so this is the check that
+// they feed it identically. The combos sweep
 // engine worker count, ingest shard count (including the legacy direct
 // path) and both ledger modes, none of which may leak into outputs.
 func TestServedMatchesBatch(t *testing.T) {
@@ -151,26 +153,22 @@ func TestServedMatchesBatch(t *testing.T) {
 			if !reflect.DeepEqual(resB.Scores, resA.Scores) || !reflect.DeepEqual(resB.Flagged, resA.Flagged) {
 				t.Fatal("tap perturbed the simulation outputs")
 			}
+			// Both planes keep one period ledger — the cumulative history,
+			// or the final window when windowed — so the frozen snapshot
+			// ledger must equal the batch result's row by row in either
+			// mode.
 			n := resA.Ledger.Size()
 			period := sn.Ledger()
-			want := resA.Ledger
-			if c.window > 0 {
-				// Windowed stores publish the window view; rebuild the
-				// batch run's counterpart is not exported, so compare
-				// against the quiet run's result ledger only in
-				// cumulative mode and check sizes here.
-				if period.Size() != n {
-					t.Fatalf("snapshot ledger size %d, want %d", period.Size(), n)
-				}
-			} else {
-				for target := 0; target < n; target++ {
-					gp, wp := period.PairCountsOf(target), want.PairCountsOf(target)
-					if !reflect.DeepEqual(gp.Raters, wp.Raters) ||
-						!reflect.DeepEqual(gp.Total, wp.Total) ||
-						!reflect.DeepEqual(gp.Pos, wp.Pos) ||
-						!reflect.DeepEqual(gp.Neg, wp.Neg) {
-						t.Fatalf("snapshot ledger row %d differs from batch ledger", target)
-					}
+			if period.Size() != n {
+				t.Fatalf("snapshot ledger size %d, want %d", period.Size(), n)
+			}
+			for target := 0; target < n; target++ {
+				gp, wp := period.PairCountsOf(target), resA.Ledger.PairCountsOf(target)
+				if !reflect.DeepEqual(gp.Raters, wp.Raters) ||
+					!reflect.DeepEqual(gp.Total, wp.Total) ||
+					!reflect.DeepEqual(gp.Pos, wp.Pos) ||
+					!reflect.DeepEqual(gp.Neg, wp.Neg) {
+					t.Fatalf("snapshot ledger row %d differs from batch ledger", target)
 				}
 			}
 

@@ -1,20 +1,21 @@
 // Package service is the resident collusion-detection server: a
-// long-running Store that ingests rating batches through the existing
-// sharded ingest machinery, runs incremental detection on every epoch's
-// dirty set, and publishes the result as an epoch-stamped copy-on-write
-// Snapshot that concurrent readers pin without ever blocking — or being
-// blocked by — the ingest path.
+// long-running Store that applies each rating batch as one epoch of the
+// shared epoch transition (internal/epoch: intake, window roll, scoring,
+// incremental detection, flagging) and publishes the result as an
+// epoch-stamped copy-on-write Snapshot that concurrent readers pin
+// without ever blocking — or being blocked by — the ingest path.
 //
-// One applied batch is one epoch. When the traffic source is the seeded
-// simulator (simulator.NewBatchTap delivers each simulation cycle's
-// ratings as one batch), epoch E of a served run is byte-identical to
-// cycle E of the batch run from the same configuration: the same ledgers,
-// the same engine scores, the same flag set, evidence pairs and registry
-// metrics. The equivalence tests in this package pin that contract for
-// every tested worker and ingest-shard count.
+// The batch simulator drives the same transition once per simulation
+// cycle, so when the traffic source is the seeded simulator
+// (simulator.NewBatchTap delivers each simulation cycle's ratings as one
+// batch), epoch E of a served run is byte-identical to cycle E of the
+// batch run from the same configuration: the same ledger, the same engine
+// scores, the same flag set, evidence pairs and registry metrics. The
+// equivalence tests in this package pin that contract for every tested
+// worker and ingest-shard count.
 //
 // Concurrency model: a single writer goroutine owns every piece of
-// mutable detection state (ledgers, window, detector memo, flag set) and
+// mutable detection state (the epoch state and its detector memo) and
 // applies commands — rating batches, maintenance — strictly in arrival
 // order, so the service stays deterministic for a deterministic request
 // stream (the JSONL replay mode feeds exactly that). Readers interact
@@ -28,9 +29,11 @@ package service
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/p2psim/collusion/internal/core"
+	"github.com/p2psim/collusion/internal/epoch"
 	"github.com/p2psim/collusion/internal/ingest"
 	"github.com/p2psim/collusion/internal/obs"
 	"github.com/p2psim/collusion/internal/reputation"
@@ -49,31 +52,29 @@ type Config struct {
 	// Engine scores the period ledger each epoch. Required.
 	Engine reputation.Engine
 	// Detector, if non-nil, is the pairwise collusion detector run each
-	// epoch. Incremental detectors take the O(dirty) path exactly as the
-	// simulation loop drives them.
+	// epoch. Incremental detectors take the O(dirty) path, through the
+	// same epoch transition the simulation loop drives.
 	Detector core.Detector
 	// Thresholds parameterize the suspicion endpoint's advisory explain
 	// path (core.ExplainPair); zero value selects core.DefaultThresholds.
 	// They should match the detector's.
 	Thresholds core.Thresholds
 	// IngestShards >= 1 routes each batch through the sharded ingest.Ingester
-	// with that many writer goroutines; 0 records directly, exactly
-	// mirroring the simulator's two intake paths (and their telemetry).
+	// with that many writer goroutines; 0 records directly, the same two
+	// intake paths (and telemetry) as the simulator.
 	IngestShards int
 	// WindowCycles > 0 evaluates scores and detection over a sliding
 	// window of the last WindowCycles epochs instead of the cumulative
 	// history, through the same delta-ring WindowLedger as batch runs.
 	WindowCycles int
-	// FullDetect forces from-scratch detection every epoch (A/B escape
-	// hatch; outputs are identical either way).
-	FullDetect bool
 	// Obs, if non-nil, receives the same histograms and counters a batch
 	// run records, plus the service.* ingest-plane telemetry.
 	Obs *obs.Registry
 	// Tracer, if enabled, receives the detector's audit events and the
 	// ingest pipeline's shard audits, stamped with the epoch as the cycle.
 	Tracer *obs.Tracer
-	// Spans, if enabled, receives the detector's span brackets.
+	// Spans, if enabled, receives the epoch's ingest, window.roll and
+	// engine spans and the detector's span brackets.
 	Spans *obs.SpanTracer
 	// CycleTimer, if non-nil, brackets every epoch's detection pass (the
 	// wall-clock implementations live in internal/obs/prof).
@@ -93,29 +94,18 @@ type Store struct {
 	n   int
 	th  core.Thresholds
 
-	// Writer-owned state: touched only by the run loop (and by New before
+	// ep is writer-owned: touched only by the run loop (and by New before
 	// the loop starts).
-	ledger   *reputation.Ledger
-	win      *ingest.WindowLedger
-	winDirty []int
-	ingester *ingest.Ingester
-	engine   reputation.Engine
-	det      core.Detector
-	epoch    int64
-	ratings  int64
-	scores   []float64
-	flagged  []bool
-	first    []int64
-	pairSet  map[[2]int]struct{}
-	pairs    []core.Evidence
+	ep *epoch.State
 
 	// Snapshot plane: the current publication and the recycle pool.
 	cur  atomic.Pointer[Snapshot]
 	free chan *Snapshot
 
-	cmds chan command
-	quit chan struct{}
-	done chan struct{}
+	cmds      chan command
+	quit      chan struct{}
+	closeOnce sync.Once
+	done      chan struct{}
 
 	mBatches, mRatings, mRecycled *obs.Counter
 	gEpoch                        *obs.Gauge
@@ -161,16 +151,20 @@ func New(cfg Config) (*Store, error) {
 		th = core.DefaultThresholds()
 	}
 	s := &Store{
-		cfg:       cfg,
-		n:         cfg.Nodes,
-		th:        th,
-		ledger:    reputation.NewLedger(cfg.Nodes),
-		engine:    cfg.Engine,
-		det:       cfg.Detector,
-		scores:    make([]float64, cfg.Nodes),
-		flagged:   make([]bool, cfg.Nodes),
-		first:     make([]int64, cfg.Nodes),
-		pairSet:   make(map[[2]int]struct{}),
+		cfg: cfg,
+		n:   cfg.Nodes,
+		th:  th,
+		ep: epoch.New(epoch.Config{
+			Nodes:        cfg.Nodes,
+			Engine:       cfg.Engine,
+			Detector:     cfg.Detector,
+			IngestShards: cfg.IngestShards,
+			WindowCycles: cfg.WindowCycles,
+			Obs:          cfg.Obs,
+			Tracer:       cfg.Tracer,
+			Spans:        cfg.Spans,
+			CycleTimer:   cfg.CycleTimer,
+		}),
 		free:      make(chan *Snapshot, pool),
 		cmds:      make(chan command),
 		quit:      make(chan struct{}),
@@ -179,19 +173,6 @@ func New(cfg Config) (*Store, error) {
 		mRatings:  cfg.Obs.Counter("service.ratings_total"),
 		mRecycled: cfg.Obs.Counter("service.snapshots_recycled"),
 		gEpoch:    cfg.Obs.Gauge("service.epoch"),
-	}
-	if cfg.WindowCycles > 0 {
-		s.win = ingest.NewWindowLedger(cfg.Nodes, cfg.WindowCycles)
-		s.win.Obs = cfg.Obs
-		s.win.Spans = cfg.Spans
-	}
-	if cfg.IngestShards >= 1 {
-		s.ingester = &ingest.Ingester{
-			Shards: cfg.IngestShards,
-			Obs:    cfg.Obs,
-			Tracer: cfg.Tracer,
-			Spans:  cfg.Spans,
-		}
 	}
 	s.publish() // epoch 0: empty ledger, zero scores, nothing flagged
 	go s.run()
@@ -216,8 +197,8 @@ func (s *Store) run() {
 			case opApply:
 				c.reply <- s.applyBatch(c.batch)
 			case opPairFrequencies:
-				s.observePairFrequencies()
-				c.reply <- reply{epoch: s.epoch}
+				s.ep.ObservePairFrequencies()
+				c.reply <- reply{epoch: s.ep.Epoch()}
 			}
 		case <-s.quit:
 			close(s.done)
@@ -240,7 +221,7 @@ func (s *Store) submit(c command) (int64, error) {
 }
 
 // Apply ingests one rating batch as the next epoch: the batch is folded
-// into the ledgers (sharded when configured), the window rolls, the
+// into the period ledger (sharded when configured), the window rolls, the
 // engine rescores, the detector runs over the epoch's dirty set, and the
 // resulting state is published as a new snapshot — all before Apply
 // returns the new epoch watermark. The batch is validated up front;
@@ -255,7 +236,7 @@ func (s *Store) Apply(batch []ingest.Rating) (int64, error) {
 }
 
 // ObservePairFrequencies records every nonzero rating-pair count of the
-// cumulative ledger into the registry's ratings.pair_frequency histogram
+// period ledger into the registry's ratings.pair_frequency histogram
 // — the post-run observation a batch simulation performs once at the end,
 // exposed as a command so a served run's final metrics match the batch
 // artifact. It returns the epoch at which the observation ran.
@@ -266,13 +247,10 @@ func (s *Store) ObservePairFrequencies() (int64, error) {
 // Close stops the writer loop and waits for it to exit. In-flight
 // commands finish first; later commands fail with ErrClosed. The current
 // snapshot stays acquirable — queries keep working against the final
-// epoch — but no new epochs can be applied.
+// epoch — but no new epochs can be applied. Close is safe to call more
+// than once and from several goroutines at once.
 func (s *Store) Close() {
-	select {
-	case <-s.quit:
-	default:
-		close(s.quit)
-	}
+	s.closeOnce.Do(func() { close(s.quit) })
 	<-s.done
 }
 
@@ -295,150 +273,17 @@ func ValidateBatch(batch []ingest.Rating, n int) error {
 	return nil
 }
 
-// applyBatch is the writer-side epoch transition. Its structure mirrors
-// the simulation loop's cycle boundary exactly — flushRatings, Roll,
-// rescore, detect — which is what the served-equals-batch equivalence
-// tests pin.
+// applyBatch is the writer side of Apply: one epoch transition, then
+// its publication.
 func (s *Store) applyBatch(batch []ingest.Rating) reply {
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.SetCycle(int(s.epoch) + 1)
+	if err := s.ep.Apply(batch); err != nil {
+		return reply{epoch: s.ep.Epoch(), err: err}
 	}
-	if s.cfg.Spans.Enabled() {
-		s.cfg.Spans.SetCycle(int(s.epoch) + 1)
-	}
-	if s.ingester != nil {
-		if len(batch) > 0 {
-			dsts := []*reputation.Ledger{s.ledger}
-			if s.win != nil {
-				dsts = append(dsts, s.win.Current())
-			}
-			if err := s.ingester.Ingest(batch, dsts...); err != nil {
-				return reply{epoch: s.epoch, err: err}
-			}
-		}
-	} else {
-		for _, r := range batch {
-			s.ledger.Record(int(r.Rater), int(r.Target), int(r.Polarity))
-			if s.win != nil {
-				s.win.Record(int(r.Rater), int(r.Target), int(r.Polarity))
-			}
-		}
-	}
-	if s.win != nil {
-		s.winDirty = s.win.Roll()
-	}
-	s.epoch++
-	s.ratings += int64(len(batch))
-	s.updateScores()
-	s.detect()
 	s.publish()
 	s.mBatches.Add(1)
 	s.mRatings.Add(int64(len(batch)))
-	s.gEpoch.Set(float64(s.epoch))
-	return reply{epoch: s.epoch}
-}
-
-// periodLedger returns the ledger scoring and detection operate on: the
-// sliding window when configured, otherwise the cumulative history.
-func (s *Store) periodLedger() *reputation.Ledger {
-	if s.win != nil {
-		return s.win.Window()
-	}
-	return s.ledger
-}
-
-// updateScores recomputes global scores with the engine and keeps
-// detected colluders at zero, as the simulation loop does each cycle.
-func (s *Store) updateScores() {
-	s.scores = s.engine.Scores(s.periodLedger())
-	for i, f := range s.flagged {
-		if f {
-			s.scores[i] = 0
-		}
-	}
-}
-
-// detect runs the detection pass, bracketed by the configured timer.
-func (s *Store) detect() {
-	if s.det == nil {
-		return
-	}
-	if s.cfg.CycleTimer != nil {
-		stop := s.cfg.CycleTimer()
-		s.runDetection()
-		stop()
-		return
-	}
-	s.runDetection()
-}
-
-// runDetection mirrors the simulation loop's pairwise detection tail:
-// incremental over the epoch's dirty set, first evidence per pair wins,
-// flagged nodes zero and stay zero.
-func (s *Store) runDetection() {
-	res := s.detectPairs(s.periodLedger())
-	for _, e := range res.Pairs {
-		key := [2]int{e.I, e.J}
-		if _, ok := s.pairSet[key]; !ok {
-			s.pairSet[key] = struct{}{}
-			s.insertPair(e)
-		}
-		s.flag(e.I)
-		s.flag(e.J)
-	}
-}
-
-// detectPairs matches the simulator's dirty-set plumbing: windowed stores
-// use the window Roll's dirty set, cumulative stores the ledger's own.
-func (s *Store) detectPairs(period *reputation.Ledger) core.Result {
-	inc, ok := s.det.(core.IncrementalDetector)
-	if !ok || s.cfg.FullDetect {
-		return s.det.Detect(period)
-	}
-	if s.win != nil {
-		return inc.DetectIncremental(period, s.winDirty)
-	}
-	dirty := period.DirtyTargets()
-	res := inc.DetectIncremental(period, dirty)
-	period.ClearDirty()
-	return res
-}
-
-// insertPair keeps s.pairs sorted by (I, J) under insertion — pair counts
-// are small, and the sorted order is what the flagged document exports.
-func (s *Store) insertPair(e core.Evidence) {
-	at := len(s.pairs)
-	for at > 0 && (e.I < s.pairs[at-1].I || (e.I == s.pairs[at-1].I && e.J < s.pairs[at-1].J)) {
-		at--
-	}
-	s.pairs = append(s.pairs, core.Evidence{})
-	copy(s.pairs[at+1:], s.pairs[at:])
-	s.pairs[at] = e
-}
-
-// flag marks a node as detected at the current epoch and zeroes its
-// score.
-func (s *Store) flag(node int) {
-	if !s.flagged[node] {
-		s.flagged[node] = true
-		s.first[node] = s.epoch
-	}
-	s.scores[node] = 0
-}
-
-// observePairFrequencies is the batch run's post-run pair-frequency
-// observation, over the cumulative ledger.
-func (s *Store) observePairFrequencies() {
-	h := s.cfg.Obs.Histogram("ratings.pair_frequency")
-	if h == nil {
-		return
-	}
-	for i := 0; i < s.n; i++ {
-		pc := s.ledger.PairCountsOf(i)
-		for k := range pc.Raters {
-			h.Observe(int64(pc.Total[k]))
-		}
-	}
+	s.gEpoch.Set(float64(s.ep.Epoch()))
+	return reply{epoch: s.ep.Epoch()}
 }
 
 // publish freezes the writer state into a snapshot (recycled when one is
@@ -449,16 +294,16 @@ func (s *Store) observePairFrequencies() {
 // soon as its last reader lets go.
 func (s *Store) publish() {
 	sn := s.takeFree()
-	sn.epoch = s.epoch
-	sn.ratings = s.ratings
+	sn.epoch = s.ep.Epoch()
+	sn.ratings = s.ep.Ratings()
 	if sn.ledger == nil {
 		sn.ledger = reputation.NewLedger(s.n)
 	}
-	s.periodLedger().CloneInto(sn.ledger)
-	sn.scores = append(sn.scores[:0], s.scores...)
-	sn.flagged = append(sn.flagged[:0], s.flagged...)
-	sn.first = append(sn.first[:0], s.first...)
-	sn.pairs = append(sn.pairs[:0], s.pairs...)
+	s.ep.Ledger().CloneInto(sn.ledger)
+	sn.scores = append(sn.scores[:0], s.ep.Scores()...)
+	sn.flagged = append(sn.flagged[:0], s.ep.Flagged()...)
+	sn.first = append(sn.first[:0], s.ep.FirstFlagged()...)
+	sn.pairs = append(sn.pairs[:0], s.ep.Pairs()...)
 	sn.refs.Store(1)
 	if old := s.cur.Swap(sn); old != nil {
 		old.Release()

@@ -153,6 +153,38 @@ func TestStoreClose(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentClose closes each of many stores from several
+// goroutines released at once: every Close must return, none may panic
+// on a double close of the quit channel, and the store must refuse
+// Apply afterwards.
+func TestStoreConcurrentClose(t *testing.T) {
+	const (
+		stores  = 500
+		closers = 8
+	)
+	for k := 0; k < stores; k++ {
+		s, err := New(Config{Nodes: 4, Engine: reputation.Summation{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < closers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				s.Close()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if _, err := s.Apply(nil); err != ErrClosed {
+			t.Fatalf("store %d: Apply after concurrent Close: %v, want ErrClosed", k, err)
+		}
+	}
+}
+
 // TestSnapshotRecycling pins the COW plane's memory story: with readers
 // promptly releasing, the set of live snapshot pointers stabilizes at the
 // pool size — the writer keeps refilling recycled storage instead of

@@ -186,24 +186,15 @@ type Config struct {
 	// reputation.EigenTrust.Workers documentation for why.
 	Workers int
 	// IngestShards, when >= 1, routes each cycle's ratings through the
-	// internal/ingest sharded pipeline: ratings buffer during the query
-	// cycles and flush in one batch partitioned across IngestShards writer
-	// goroutines before reputations update. 0 keeps the legacy immediate
-	// single-writer Record path. Ratings are only read at simulation-cycle
-	// boundaries, so batching is observationally identical to immediate
-	// recording, and the ingest determinism contract makes every value
-	// >= 1 produce byte-identical ledgers, results and traces (values 0
-	// and >= 1 differ only by the ingest_audit trace events the pipeline
-	// emits).
+	// internal/ingest sharded pipeline: the cycle's batch is partitioned
+	// across IngestShards writer goroutines before reputations update. 0
+	// records the batch directly on one writer. Either way ratings buffer
+	// during the query cycles and reach the ledger at the cycle boundary,
+	// the only time it is read, and the ingest determinism contract makes
+	// every value >= 1 produce byte-identical ledgers, results and traces
+	// (values 0 and >= 1 differ only by the ingest_audit trace events the
+	// pipeline emits).
 	IngestShards int
-	// FullDetect forces the pairwise detectors onto the from-scratch
-	// Detect path every cycle, disabling the incremental memoization both
-	// the cumulative and windowed paths otherwise use. The incremental
-	// contract guarantees identical pairs, meter charges and audit events
-	// either way — this knob exists to measure that claim (the A/B
-	// equivalence tests and the -full-detect CLI flags run both sides) and
-	// as an escape hatch, not because outputs differ.
-	FullDetect bool
 	// Meter, if non-nil, accumulates operation costs across the run.
 	Meter *metrics.CostMeter
 	// OnCycle, if non-nil, observes the simulation after every cycle's
@@ -225,9 +216,9 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Obs, if non-nil, collects run histograms: EigenTrust iteration
 	// counts per scoring pass and the rating-pair frequency distribution
-	// of the final ledger. Runs only record into histograms (atomic,
-	// order-independent), never set gauges, so one registry may be shared
-	// by concurrent averaged runs.
+	// of the final period ledger (the final window when windowed). Runs
+	// only record into histograms (atomic, order-independent), never set
+	// gauges, so one registry may be shared by concurrent averaged runs.
 	Obs *obs.Registry
 	// Spans, if enabled, receives the hierarchical span timeline: a run
 	// span wrapping one cycle span per simulation cycle, each bracketing

@@ -3,139 +3,189 @@ package simulator
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/p2psim/collusion/internal/core"
+	"github.com/p2psim/collusion/internal/epoch"
+	"github.com/p2psim/collusion/internal/ingest"
+	"github.com/p2psim/collusion/internal/metrics"
 	"github.com/p2psim/collusion/internal/obs"
 )
 
-// requireRunsMatch compares the detection observables of two runs: pairs
-// with evidence, per-node flags, detection cycles, and bit-identical
-// scores (the strongest equality claim and lint-clean).
-func requireRunsMatch(t *testing.T, name string, got, want *Result) {
+// epochSide is one epoch transition built the way Run builds it, with its
+// own cost meter, registry and (optionally) trace.
+type epochSide struct {
+	ep    *epoch.State
+	meter *metrics.CostMeter
+	reg   *obs.Registry
+	trace obs.BufferSink
+}
+
+// newEpochSide builds the epoch Run would build for cfg. With hide set,
+// the pair detector is wrapped in a struct that exposes only
+// core.Detector, so the epoch cannot see DetectIncremental and runs the
+// from-scratch Detect every epoch.
+func newEpochSide(cfg Config, traced, hide bool) *epochSide {
+	s := &epochSide{meter: &metrics.CostMeter{}, reg: obs.NewRegistry(nil)}
+	cfg.Meter = s.meter
+	cfg.Obs = s.reg
+	if traced {
+		cfg.Tracer = obs.NewTracer(&s.trace)
+	}
+	ecfg := epochConfig(cfg)
+	if hide {
+		ecfg.Detector = struct{ core.Detector }{ecfg.Detector}
+	}
+	s.ep = epoch.New(ecfg)
+	return s
+}
+
+// runIncrementalVsFull records cfg's rating stream with a BatchTap on an
+// uninstrumented run and applies every cycle's batch to two epochs: inc
+// with the built detector, which takes the incremental path, and full
+// with the same detector hidden behind core.Detector. After every epoch
+// the two must agree on score bits, flags, first-flagged epochs, evidence
+// pairs and cost-meter charges.
+func runIncrementalVsFull(t *testing.T, cfg Config, traced bool) (inc, full *epochSide) {
 	t.Helper()
-	if len(got.DetectedPairs) != len(want.DetectedPairs) {
-		t.Fatalf("%s: incremental found %d pairs, full %d\ninc  %+v\nfull %+v",
-			name, len(got.DetectedPairs), len(want.DetectedPairs), got.DetectedPairs, want.DetectedPairs)
+	inc = newEpochSide(cfg, traced, false)
+	full = newEpochSide(cfg, traced, true)
+	source := cfg
+	tap := NewBatchTap(&source, func(cycle int, batch []ingest.Rating) error {
+		for _, side := range []*epochSide{inc, full} {
+			if err := side.ep.Apply(batch); err != nil {
+				return err
+			}
+		}
+		requireEpochsMatch(t, cycle, inc, full)
+		return nil
+	})
+	if _, err := Run(source); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want.DetectedPairs {
-		if got.DetectedPairs[i] != want.DetectedPairs[i] {
-			t.Fatalf("%s: pair %d = %+v, full detection %+v", name, i, got.DetectedPairs[i], want.DetectedPairs[i])
+	if err := tap.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := inc.ep.Epoch(); got != int64(cfg.SimCycles) {
+		t.Fatalf("applied %d epochs, want %d", got, cfg.SimCycles)
+	}
+	if len(inc.ep.Pairs()) == 0 {
+		t.Fatal("no pairs detected; the comparison would be vacuous")
+	}
+	return inc, full
+}
+
+// requireEpochsMatch compares the two sides after one epoch.
+func requireEpochsMatch(t *testing.T, cycle int, inc, full *epochSide) {
+	t.Helper()
+	a, b := inc.ep, full.ep
+	for i := range b.Scores() {
+		if math.Float64bits(a.Scores()[i]) != math.Float64bits(b.Scores()[i]) {
+			t.Fatalf("epoch %d: score[%d] = %v incrementally, %v from scratch", cycle, i, a.Scores()[i], b.Scores()[i])
+		}
+		if a.Flagged()[i] != b.Flagged()[i] || a.FirstFlagged()[i] != b.FirstFlagged()[i] {
+			t.Fatalf("epoch %d: node %d flagged %v at epoch %d incrementally, %v at %d from scratch",
+				cycle, i, a.Flagged()[i], a.FirstFlagged()[i], b.Flagged()[i], b.FirstFlagged()[i])
 		}
 	}
-	for i := range want.Flagged {
-		if got.Flagged[i] != want.Flagged[i] {
-			t.Fatalf("%s: Flagged[%d] = %v, full detection %v", name, i, got.Flagged[i], want.Flagged[i])
-		}
-		if got.DetectionCycle[i] != want.DetectionCycle[i] {
-			t.Fatalf("%s: DetectionCycle[%d] = %d, full detection %d",
-				name, i, got.DetectionCycle[i], want.DetectionCycle[i])
-		}
-		if math.Float64bits(got.Scores[i]) != math.Float64bits(want.Scores[i]) {
-			t.Fatalf("%s: Scores[%d] = %v, full detection %v", name, i, got.Scores[i], want.Scores[i])
-		}
+	if !reflect.DeepEqual(a.Pairs(), b.Pairs()) {
+		t.Fatalf("epoch %d: pairs differ\ninc  %+v\nfull %+v", cycle, a.Pairs(), b.Pairs())
+	}
+	if got, want := inc.meter.Snapshot(), full.meter.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("epoch %d: meter charges differ\ninc  %v\nfull %v", cycle, got, want)
 	}
 }
 
-// TestIncrementalRunMatchesFullDetection pins the simulator's incremental
-// wiring end to end. By default both the cumulative path (dirty rows from
-// Ledger.DirtyTargets) and the windowed path (dirty rows from
-// WindowLedger.Roll) take DetectIncremental; the same seeded run with
-// FullDetect set re-screens every pair from scratch each cycle. Scores,
-// flags, detection cycles and evidence must match exactly — any
-// divergence means the memoized screens changed behavior.
+// memoCounters returns a side's incremental hit and miss counters.
+func memoCounters(s *epochSide) (hits, misses int64) {
+	return s.reg.Counter("detect.incremental_hits").Value(), s.reg.Counter("detect.incremental_misses").Value()
+}
+
+// TestIncrementalRunMatchesFullDetection pins the epoch's incremental
+// wiring. The cumulative path (dirty rows from Ledger.DirtyTargets) and
+// the windowed path (dirty rows from WindowLedger.Roll) both take
+// DetectIncremental; the same rating stream applied to an epoch whose
+// detector hides DetectIncremental re-screens every pair from scratch.
+// Any divergence at any epoch means the memoized screens changed
+// behavior.
 func TestIncrementalRunMatchesFullDetection(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorBasic, DetectorOptimized} {
 		for _, window := range []int{0, 4} {
-			cfg := DefaultConfig()
-			cfg.ColluderGoodProb = 0.2
-			cfg.Detector = det
-			cfg.WindowCycles = window
-
-			inc, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			full := cfg
-			full.FullDetect = true
-			want, err := Run(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			name := det.String()
 			if window > 0 {
-				name += " windowed"
+				name += "_windowed"
 			}
-			requireRunsMatch(t, name, inc, want)
+			t.Run(name, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.ColluderGoodProb = 0.2
+				cfg.Detector = det
+				cfg.WindowCycles = window
+				inc, full := runIncrementalVsFull(t, cfg, false)
+				if _, misses := memoCounters(inc); misses == 0 {
+					t.Fatal("incremental side recorded no memo misses; it never took the incremental path")
+				}
+				if hits, misses := memoCounters(full); hits != 0 || misses != 0 {
+					t.Fatalf("from-scratch side recorded hits=%d misses=%d, want 0/0", hits, misses)
+				}
+			})
 		}
 	}
 }
 
 // TestIncrementalRunTraceMatchesFullDetection extends the equivalence to
 // the audit trail: with tracing enabled the memo cache is bypassed (every
-// high pair is re-examined and audited in full-pass order), so a windowed
-// incremental run's trace must be byte-identical to the FullDetect run's.
+// high pair is re-examined and audited in full-pass order), so the
+// incremental epoch's trace must be byte-identical to the from-scratch
+// epoch's, for Basic and Optimized, cumulative and windowed.
 func TestIncrementalRunTraceMatchesFullDetection(t *testing.T) {
-	traced := func(fullDetect bool) (*Result, []byte) {
-		var sink obs.BufferSink
-		cfg := tracedConfig()
-		cfg.WindowCycles = 4
-		cfg.FullDetect = fullDetect
-		cfg.Tracer = obs.NewTracer(&sink)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, det := range []DetectorKind{DetectorBasic, DetectorOptimized} {
+		for _, window := range []int{0, 4} {
+			cfg := tracedConfig()
+			cfg.Detector = det
+			cfg.WindowCycles = window
+			inc, full := runIncrementalVsFull(t, cfg, true)
+			if !bytes.Contains(inc.trace.Bytes(), []byte(`"type":"candidate_audit"`)) {
+				t.Fatalf("%s window %d: trace holds no candidate audits", det, window)
+			}
+			if !bytes.Equal(inc.trace.Bytes(), full.trace.Bytes()) {
+				t.Fatalf("%s window %d: incremental trace differs from the from-scratch trace", det, window)
+			}
 		}
-		return res, sink.Bytes()
-	}
-	inc, incTrace := traced(false)
-	want, wantTrace := traced(true)
-	if len(inc.DetectedPairs) == 0 {
-		t.Fatal("windowed traced run detected no pairs; the test would be vacuous")
-	}
-	requireRunsMatch(t, "windowed traced", inc, want)
-	if !bytes.Equal(incTrace, wantTrace) {
-		t.Fatal("windowed incremental trace differs from the full-detection trace")
 	}
 }
 
-// TestIncrementalHitMissCounters pins the memo telemetry: an incremental
-// run with a registry attached records cache hits (unchanged pairs
-// replayed) and misses (dirty pairs re-screened) on the cumulative path,
-// misses plus the per-cycle dirty-row histogram on the windowed path
-// (windowed screens concentrate on freshly-rated rows, so hits are rare
-// there and not asserted), and a FullDetect run records neither counter.
+// TestIncrementalHitMissCounters pins the memo telemetry: the incremental
+// epoch records cache hits (unchanged pairs replayed) and misses (dirty
+// pairs re-screened) on the cumulative path, misses plus the per-epoch
+// dirty-row histogram on the windowed path (windowed screens concentrate
+// on freshly-rated rows, so hits are rare there and not asserted), and the
+// from-scratch epoch records neither counter.
 func TestIncrementalHitMissCounters(t *testing.T) {
-	counters := func(fullDetect bool, window int) (hits, misses int64, reg *obs.Registry) {
-		reg = obs.NewRegistry(nil)
-		// The default population is quiet enough that screened pairs
-		// regularly survive a cycle untouched, so the cache actually hits;
-		// tracedConfig's flood would dirty every screened row every cycle.
-		cfg := DefaultConfig()
-		cfg.ColluderGoodProb = 0.2
-		cfg.Detector = DetectorOptimized
-		cfg.WindowCycles = window
-		cfg.FullDetect = fullDetect
-		cfg.Obs = reg
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Counter("detect.incremental_hits").Value(),
-			reg.Counter("detect.incremental_misses").Value(), reg
+	// The default population is quiet enough that screened pairs
+	// regularly survive an epoch untouched, so the cache actually hits;
+	// tracedConfig's flood would dirty every screened row every epoch.
+	cfg := DefaultConfig()
+	cfg.ColluderGoodProb = 0.2
+	cfg.Detector = DetectorOptimized
+
+	inc, full := runIncrementalVsFull(t, cfg, false)
+	if hits, misses := memoCounters(inc); hits == 0 || misses == 0 {
+		t.Fatalf("cumulative incremental epoch recorded hits=%d misses=%d, want both > 0", hits, misses)
 	}
-	hits, misses, _ := counters(false, 0)
-	if hits == 0 || misses == 0 {
-		t.Fatalf("cumulative incremental run recorded hits=%d misses=%d, want both > 0", hits, misses)
+	if hits, misses := memoCounters(full); hits != 0 || misses != 0 {
+		t.Fatalf("cumulative from-scratch epoch recorded hits=%d misses=%d, want 0/0", hits, misses)
 	}
-	_, misses, reg := counters(false, 8)
-	if misses == 0 {
-		t.Fatalf("windowed incremental run recorded no misses")
+
+	cfg.WindowCycles = 8
+	inc, full = runIncrementalVsFull(t, cfg, false)
+	if _, misses := memoCounters(inc); misses == 0 {
+		t.Fatal("windowed incremental epoch recorded no misses")
 	}
-	if h := reg.Histogram("window.dirty_rows_per_cycle"); h.Count() == 0 {
-		t.Fatal("windowed run recorded no dirty_rows_per_cycle observations")
+	if h := inc.reg.Histogram("window.dirty_rows_per_cycle"); h.Count() != int64(cfg.SimCycles) {
+		t.Fatalf("windowed epoch recorded %d dirty_rows_per_cycle observations, want %d", h.Count(), cfg.SimCycles)
 	}
-	if hits, misses, _ := counters(true, 8); hits != 0 || misses != 0 {
-		t.Fatalf("FullDetect run recorded hits=%d misses=%d, want 0/0", hits, misses)
+	if hits, misses := memoCounters(full); hits != 0 || misses != 0 {
+		t.Fatalf("windowed from-scratch epoch recorded hits=%d misses=%d, want 0/0", hits, misses)
 	}
 }

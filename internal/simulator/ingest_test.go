@@ -59,8 +59,8 @@ func requireResultsEqual(t *testing.T, label string, got, want *Result) {
 // TestIngestShardsByteIdenticalRun is the subsystem's simulator-level
 // acceptance gate: every IngestShards value >= 1 must produce identical
 // results AND byte-identical traces (the ingest_audit attributes are
-// batch-derived, never scheduling-derived). IngestShards=0, the legacy
-// immediate-record path, must produce identical results too — its trace
+// batch-derived, never scheduling-derived). IngestShards=0, the direct
+// single-writer path, must produce identical results too — its trace
 // just lacks the ingest_audit events.
 func TestIngestShardsByteIdenticalRun(t *testing.T) {
 	legacy, _ := runWithShards(t, 0, 0)
