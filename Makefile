@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-save bench-compare cover fuzz vet lint experiments ablations examples clean
+.PHONY: all build test race bench bench-save bench-compare ab cover fuzz vet lint experiments ablations examples clean
 
 all: build vet lint test
 
@@ -31,12 +31,11 @@ bench:
 
 # Benchmarks that feed the checked-in baseline: the detection hot path,
 # the ledger memory-footprint benchmark that pins the CSR storage, the
-# streaming-ingest throughput benchmarks (sharded intake + window
-# rollover), the sparse EigenTrust engine (matrix build, the
-# per-iteration multiply kernel, and full Scores at n=100k and n=1M), and
-# the resident service's snapshot plane (epoch publish cost and query
-# latency under full ingest pressure).
-BENCH_PATTERN = Detect|LedgerFootprint|ShardedIngest|WindowRollover|EigenTrust|SnapshotPublish|ServeQueryUnderIngest
+# window-ledger rollover benchmarks, the sparse EigenTrust engine (matrix
+# build, the per-iteration multiply kernel, and full Scores at n=100k and
+# n=1M), and the resident service's snapshot plane (epoch publish cost and
+# query latency under full ingest pressure).
+BENCH_PATTERN = Detect|LedgerFootprint|WindowRollover|EigenTrust|SnapshotPublish|ServeQueryUnderIngest
 BENCH_PKGS = ./internal/core/ ./internal/reputation/ ./internal/ingest/ ./internal/service/
 # Repetitions per benchmark; benchjson collapses them to the per-metric
 # minimum, so one noisy repetition cannot move a baseline or trip the gate.
@@ -57,6 +56,19 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson > bench_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_detect.json bench_new.json
 
+# Alternating epoch-benchmark runs of a parent revision against the
+# working tree (scripts/ab.sh): per-pair metrics and digests, then both
+# medians, the parent's IQR, the change's wins and the bound check for
+# every end-to-end metric in BENCHMARK.json. Exits non-zero if any run
+# fails its correctness check or reports failed operations.
+#   make ab PARENT=HEAD~1 WORKLOAD=burst-100k [PAIRS=10] [SEED=7919]
+PAIRS ?= 10
+SEED ?= 7919
+ab:
+	@test -n "$(PARENT)" && test -n "$(WORKLOAD)" || \
+		{ echo "usage: make ab PARENT=<rev> WORKLOAD=<workload> [PAIRS=10] [SEED=7919]" >&2; exit 2; }
+	bash scripts/ab.sh '$(PARENT)' '$(WORKLOAD)' '$(PAIRS)' '$(SEED)'
+
 # Coverage gate for the observability layer, the resident service and the
 # epoch transition they share with the simulator: the canonical trace
 # encoding, metric exporters, snapshot plane, request codec and epoch
@@ -71,7 +83,7 @@ cover:
 # Run every fuzz target in the fuzzed packages for a short burst each; the
 # target list is discovered dynamically so new Fuzz* functions are picked
 # up automatically.
-FUZZ_PKGS = ./internal/trace/ ./internal/reputation/ ./internal/ingest/ ./internal/service/
+FUZZ_PKGS = ./internal/trace/ ./internal/reputation/ ./internal/service/
 fuzz:
 	@set -e; \
 	for pkg in $(FUZZ_PKGS); do \

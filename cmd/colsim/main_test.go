@@ -82,14 +82,14 @@ func telemetryArgs(extra ...string) []string {
 }
 
 // TestRunSpansDeterministic pins the -spans flag end to end: the file is
-// written, announced, and byte-identical across repeats and across
-// -ingest-shards values.
+// written, announced, byte-identical across repeats, and carries every
+// cycle's ingest span.
 func TestRunSpansDeterministic(t *testing.T) {
-	timeline := func(shards string) []byte {
+	timeline := func() []byte {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "spans.jsonl")
 		var stdout, stderr bytes.Buffer
-		err := run(telemetryArgs("-ingest-shards", shards, "-spans", path), &stdout, &stderr)
+		err := run(telemetryArgs("-spans", path), &stdout, &stderr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,15 +102,16 @@ func TestRunSpansDeterministic(t *testing.T) {
 		}
 		return data
 	}
-	a := timeline("1")
+	a := timeline()
 	if len(a) == 0 {
 		t.Fatal("empty span timeline")
 	}
-	if !bytes.Equal(a, timeline("1")) {
+	if !bytes.Equal(a, timeline()) {
 		t.Fatal("repeated runs produced different span timelines")
 	}
-	if !bytes.Equal(a, timeline("8")) {
-		t.Fatal("-ingest-shards changed the span timeline bytes")
+	// Every one of the 6 cycles records ratings, so each ends an ingest span.
+	if got := bytes.Count(a, []byte(`"name":"ingest","cost":`)); got != 6 {
+		t.Fatalf("timeline has %d ingest spans, want one per cycle (6)", got)
 	}
 }
 

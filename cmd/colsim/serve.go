@@ -52,7 +52,6 @@ func newStore(cfg collusion.SimConfig, reg *obs.Registry, o serviceOpts) (*servi
 		Engine:       simulator.BuildEngine(built),
 		Detector:     simulator.BuildPairDetector(built),
 		Thresholds:   built.DetectionThresholds(),
-		IngestShards: built.IngestShards,
 		WindowCycles: built.WindowCycles,
 		Obs:          reg,
 		Tracer:       tracer,

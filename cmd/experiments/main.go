@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "root random seed")
 		scale   = fs.Float64("scale", 1.0, "synthetic-trace volume scale")
 		workers = fs.Int("workers", 0, "worker goroutines for the parallel engine (0: GOMAXPROCS; output is identical for every value)")
-		shards  = fs.Int("ingest-shards", 0, "writer goroutines for sharded rating ingest inside each simulation (0: direct single-writer records)")
 		out     = fs.String("out", "", "directory for CSV export (empty: no files)")
 
 		tracePath       = fs.String("trace", "", "write the deterministic JSONL run trace to this file")
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if w <= 0 {
 		w = parallel.DefaultWorkers()
 	}
-	opts := experiments.Options{Seed: *seed, Runs: *runs, Scale: *scale, Workers: w, IngestShards: *shards}
+	opts := experiments.Options{Seed: *seed, Runs: *runs, Scale: *scale, Workers: w}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		sink, err := obs.NewFileSink(*tracePath)

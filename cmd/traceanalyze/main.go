@@ -1,7 +1,8 @@
 // Command traceanalyze runs the Section III analyses over a rating-trace
 // CSV (as produced by tracegen): the suspicious-pair frequency filter with
 // its a/b statistics, and the interaction-graph structure study that
-// establishes pairwise collusion (C5).
+// establishes pairwise collusion (C5). It then replays the trace into a
+// rating ledger and reports the pairs the Formula (2) detector flags.
 //
 // Usage:
 //
@@ -50,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		threshold = fs.Int("threshold", 20, "pair rating-count threshold (paper: 20/year)")
 		mutual    = fs.Bool("mutual", false, "require mutual rating for graph edges")
 		dot       = fs.String("dot", "", "write the interaction graph as Graphviz DOT to this path")
-		shards    = fs.Int("ingest-shards", 0, "also replay the trace into a rating ledger through this many sharded ingest writers and run pairwise detection (0: skip)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -114,11 +114,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "\nwrote interaction graph to %s (render with: neato -Tsvg %s)\n", *dot, *dot)
 	}
-	if *shards >= 1 {
-		if err := replayDetect(stdout, tr, *shards); err != nil {
-			return err
-		}
-	}
+	replayDetect(stdout, tr)
 	return nil
 }
 
@@ -276,22 +272,16 @@ func runSpans(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// replayDetect bulk-loads the trace into a ledger through the sharded
-// ingest pipeline and runs the Formula (2) detector over the result. The
-// ledger — and therefore the detection report — is byte-identical for
-// every shard count; the flag only changes how many writer goroutines
-// build it.
-func replayDetect(stdout io.Writer, tr *trace.Trace, shards int) error {
+// replayDetect records the whole trace into one ledger, in trace order,
+// and runs the Formula (2) detector over the result at the default
+// thresholds.
+func replayDetect(stdout io.Writer, tr *trace.Trace) {
 	ledger := reputation.NewLedger(ingest.Population(tr))
-	g := &ingest.Ingester{Shards: shards}
-	if err := g.ReplayTrace(tr, ledger); err != nil {
-		return err
+	for _, r := range ingest.FromTrace(tr) {
+		ledger.Record(int(r.Rater), int(r.Target), int(r.Polarity))
 	}
 	res := collusion.NewOptimizedDetector(collusion.DefaultThresholds()).Detect(ledger)
-	// The report deliberately omits the writer count: the output is a pure
-	// function of the trace, so runs with different -ingest-shards values
-	// can be diffed byte-for-byte.
-	fmt.Fprintf(stdout, "\nsharded replay: ledger over %d nodes, %d detected pairs\n",
+	fmt.Fprintf(stdout, "\nreplay: ledger over %d nodes, %d detected pairs\n",
 		ledger.Size(), len(res.Pairs))
 	for i, e := range res.Pairs {
 		if i >= 25 {
@@ -301,5 +291,4 @@ func replayDetect(stdout io.Writer, tr *trace.Trace, shards int) error {
 		fmt.Fprintf(stdout, "  (%d, %d)  N=%d/%d  a=%.3f/%.3f\n",
 			e.I, e.J, e.NIJ, e.NJI, e.AIJ, e.AJI)
 	}
-	return nil
 }

@@ -114,6 +114,46 @@ func TestRunJSONLInput(t *testing.T) {
 	}
 }
 
+// TestRunReplayDetects pins the replay section on a hand-built trace.
+// Nodes 0 and 1 rate each other 25 times at score 5, and node 2 rates
+// each of them 5 times at score 1. The pair is frequent (N = 25 >= T_N =
+// 20) and mutually positive (a = 1 >= T_a = 0.8), and nobody else praises
+// either side (b = 0 < T_b = 0.2), so the default Formula (2) detector
+// reports exactly that pair.
+func TestRunReplayDetects(t *testing.T) {
+	tr := &trace.Trace{}
+	for day := 0; day < 25; day++ {
+		tr.Ratings = append(tr.Ratings,
+			trace.Rating{Day: day, Rater: 0, Target: 1, Score: 5},
+			trace.Rating{Day: day, Rater: 1, Target: 0, Score: 5})
+		if day < 5 {
+			tr.Ratings = append(tr.Ratings,
+				trace.Rating{Day: day, Rater: 2, Target: 0, Score: 1},
+				trace.Rating{Day: day, Rater: 2, Target: 1, Score: 1})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "pair.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteCSV(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-in", path}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	want := "\nreplay: ledger over 3 nodes, 1 detected pairs\n" +
+		"  (0, 1)  N=25/25  a=1.000/1.000\n"
+	if !strings.HasSuffix(stdout.String(), want) {
+		t.Fatalf("replay section wrong, want suffix %q:\n%s", want, stdout.String())
+	}
+}
+
 // writeSpanTimeline writes a small hand-built span timeline with known
 // inclusive/self cost structure: run(20) > cycle(20) > [ingest(5),
 // detect(12)], so cycle self cost is 3 and run self cost is 0.

@@ -305,8 +305,7 @@ type Basic struct {
 	Obs *obs.Registry
 	// Spans, if enabled, brackets every detection pass in a "detect" span
 	// carrying the dirty-row count, detected-pair count and memo hit/miss
-	// deltas — all deterministic, worker- and shard-count-invariant
-	// quantities. Spans ride their own tracer, separate from Trace, so
+	// deltas — all deterministic, worker-count-invariant quantities. Spans ride their own tracer, separate from Trace, so
 	// span collection never flips the detector onto the memo-bypassing
 	// audit path. Disabled spans add no work and no allocations (pinned
 	// by TestTelemetryOffAddsNoAllocs).

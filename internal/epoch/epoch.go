@@ -22,7 +22,7 @@ import (
 )
 
 // Config parameterizes a State. Callers validate it: Nodes > 0, a
-// non-nil Engine, and non-negative IngestShards and WindowCycles.
+// non-nil Engine, and a non-negative WindowCycles.
 type Config struct {
 	// Nodes is the fixed population size.
 	Nodes int
@@ -31,18 +31,15 @@ type Config struct {
 	// Detector, if non-nil, is the pairwise collusion detector run every
 	// epoch. An IncrementalDetector re-screens only the epoch's dirty rows.
 	Detector core.Detector
-	// IngestShards >= 1 folds each batch through an ingest.Ingester with
-	// that many writer goroutines; 0 records the batch directly.
-	IngestShards int
 	// WindowCycles > 0 scores and detects over a sliding window of the
 	// last WindowCycles epochs, held as an ingest.WindowLedger, instead
 	// of the cumulative history.
 	WindowCycles int
-	// Obs, if non-nil, receives the intake and window histograms and the
-	// post-run ratings.pair_frequency observation.
+	// Obs, if non-nil, receives the window histograms and the post-run
+	// ratings.pair_frequency observation.
 	Obs *obs.Registry
-	// Tracer, if enabled, is stamped with the epoch being applied and
-	// receives the ingester's audit events.
+	// Tracer, if enabled, is stamped with the epoch being applied, so
+	// the detector's audit events carry it as their cycle.
 	Tracer *obs.Tracer
 	// Spans, if enabled, receives the ingest, window.roll and engine spans.
 	Spans *obs.SpanTracer
@@ -50,14 +47,13 @@ type Config struct {
 	CycleTimer obs.TimerFunc
 }
 
-// State owns one detection plane: the period ledger, the optional
-// ingester, the engine scores and the flag book (flags, first-flagged
-// epochs and first-evidence-wins pairs).
+// State owns one detection plane: the period ledger, the engine scores
+// and the flag book (flags, first-flagged epochs and first-evidence-wins
+// pairs).
 type State struct {
-	cfg      Config
-	ledger   *reputation.Ledger   // cumulative history; nil when windowed
-	win      *ingest.WindowLedger // non-nil when WindowCycles > 0
-	ingester *ingest.Ingester
+	cfg    Config
+	ledger *reputation.Ledger   // cumulative history; nil when windowed
+	win    *ingest.WindowLedger // non-nil when WindowCycles > 0
 
 	epoch   int64
 	ratings int64
@@ -83,27 +79,18 @@ func New(cfg Config) *State {
 	} else {
 		e.ledger = reputation.NewLedger(cfg.Nodes)
 	}
-	if cfg.IngestShards >= 1 {
-		e.ingester = &ingest.Ingester{
-			Shards: cfg.IngestShards,
-			Obs:    cfg.Obs,
-			Tracer: cfg.Tracer,
-			Spans:  cfg.Spans,
-		}
-	}
 	return e
 }
 
 // Apply runs one epoch over batch: intake, window roll, score, detect
-// and flag. The batch must already be valid (see ingest.Rating); it is
-// not retained. On an intake error the epoch does not advance.
-func (e *State) Apply(batch []ingest.Rating) error {
+// and flag. The batch must already be valid (see ingest.Rating): an
+// out-of-range node, a self-rating or a bad polarity panics in
+// Ledger.Record. The batch is not retained.
+func (e *State) Apply(batch []ingest.Rating) {
 	next := int(e.epoch) + 1
 	e.cfg.Tracer.SetCycle(next)
 	e.cfg.Spans.SetCycle(next)
-	if err := e.intake(batch); err != nil {
-		return err
-	}
+	e.intake(batch)
 	var dirty []int
 	if e.win != nil {
 		dirty = e.win.Roll()
@@ -112,26 +99,28 @@ func (e *State) Apply(batch []ingest.Rating) error {
 	e.ratings += int64(len(batch))
 	e.score()
 	e.detect(dirty)
-	return nil
 }
 
-// intake folds the batch into the open period: the window's open delta,
-// or the cumulative ledger.
-func (e *State) intake(batch []ingest.Rating) error {
+// intake records the batch into the open period, rating by rating: the
+// window's open delta, or the cumulative ledger. A non-empty batch runs
+// inside an "ingest" span whose payload, the record count, is a pure
+// function of the batch.
+func (e *State) intake(batch []ingest.Rating) {
 	dst := e.ledger
 	if e.win != nil {
 		dst = e.win.Current()
 	}
-	if e.ingester != nil {
-		if len(batch) == 0 {
-			return nil
-		}
-		return e.ingester.Ingest(batch, dst)
+	sp := e.cfg.Spans
+	spanned := sp.Enabled() && len(batch) > 0
+	if spanned {
+		sp.Begin("ingest")
 	}
 	for _, r := range batch {
 		dst.Record(int(r.Rater), int(r.Target), int(r.Polarity))
 	}
-	return nil
+	if spanned {
+		sp.End("ingest", obs.Int("records", len(batch)))
+	}
 }
 
 // score rescores the period ledger inside the engine's span and keeps
@@ -155,8 +144,8 @@ func (e *State) score() {
 
 // engineSpanAttrs returns the engine span's payload. For EigenTrust it
 // exposes the epoch's convergence and the sparsity the multiply
-// exploited; all three depend only on the ledger and never on worker or
-// shard counts, so the span timeline stays byte-identical.
+// exploited; all three depend only on the ledger and never on the
+// worker count, so the span timeline stays byte-identical.
 func (e *State) engineSpanAttrs() []obs.Attr {
 	et, ok := e.cfg.Engine.(*reputation.EigenTrust)
 	if !ok {

@@ -72,33 +72,28 @@ func requireLedgerHolds(t *testing.T, label string, l *reputation.Ledger, batche
 
 // TestLedgerHoldsThePeriod pins which ratings the one period ledger
 // holds: every applied batch when cumulative, the last WindowCycles
-// batches when windowed, for direct and sharded intake alike.
+// batches when windowed.
 func TestLedgerHoldsThePeriod(t *testing.T) {
 	const n, window = 24, 3
 	batches := randomBatches(3, n, 9, 40)
-	for _, shards := range []int{0, 1, 4} {
-		cum := New(Config{Nodes: n, Engine: reputation.Summation{}, IngestShards: shards})
-		win := New(Config{Nodes: n, Engine: reputation.Summation{}, IngestShards: shards, WindowCycles: window})
-		ratings := 0
-		for e, b := range batches {
-			for _, st := range []*State{cum, win} {
-				if err := st.Apply(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ratings += len(b)
-			requireLedgerHolds(t, "cumulative", cum.Ledger(), batches[:e+1])
-			requireLedgerHolds(t, "windowed", win.Ledger(), batches[max(0, e+1-window):e+1])
-			if cum.Epoch() != int64(e+1) || cum.Ratings() != int64(ratings) {
-				t.Fatalf("epoch %d: Epoch() = %d, Ratings() = %d, want %d", e+1, cum.Epoch(), cum.Ratings(), ratings)
-			}
-			if cum.DeltaRows() != 0 || win.DeltaRows() == 0 {
-				t.Fatalf("epoch %d: DeltaRows() = %d cumulative, %d windowed", e+1, cum.DeltaRows(), win.DeltaRows())
-			}
+	cum := New(Config{Nodes: n, Engine: reputation.Summation{}})
+	win := New(Config{Nodes: n, Engine: reputation.Summation{}, WindowCycles: window})
+	ratings := 0
+	for e, b := range batches {
+		cum.Apply(b)
+		win.Apply(b)
+		ratings += len(b)
+		requireLedgerHolds(t, "cumulative", cum.Ledger(), batches[:e+1])
+		requireLedgerHolds(t, "windowed", win.Ledger(), batches[max(0, e+1-window):e+1])
+		if cum.Epoch() != int64(e+1) || cum.Ratings() != int64(ratings) {
+			t.Fatalf("epoch %d: Epoch() = %d, Ratings() = %d, want %d", e+1, cum.Epoch(), cum.Ratings(), ratings)
 		}
-		if win.ledger != nil {
-			t.Fatal("windowed state keeps a cumulative ledger")
+		if cum.DeltaRows() != 0 || win.DeltaRows() == 0 {
+			t.Fatalf("epoch %d: DeltaRows() = %d cumulative, %d windowed", e+1, cum.DeltaRows(), win.DeltaRows())
 		}
+	}
+	if win.ledger != nil {
+		t.Fatal("windowed state keeps a cumulative ledger")
 	}
 }
 
@@ -120,9 +115,7 @@ func TestFlagBook(t *testing.T) {
 		batch = append(batch, ingest.Rating{Rater: int32((target + 1) % 8), Target: int32(target), Polarity: 1})
 	}
 	for e := 0; e < 3; e++ {
-		if err := st.Apply(batch); err != nil {
-			t.Fatal(err)
-		}
+		st.Apply(batch)
 	}
 	st.Flag(7) // a group or Sybil finding after the last Apply
 	st.Flag(7)
@@ -148,31 +141,34 @@ func TestFlagBook(t *testing.T) {
 	}
 }
 
-// TestApplyTelemetry pins what one Apply emits: events stamped with the
-// epoch being applied, the ingest, window.roll and engine spans in that
-// order, and one cycle-timer bracket per epoch even with no detector.
+// TestApplyTelemetry pins what one Apply emits: the tracer stamped with
+// the epoch being applied, the ingest, window.roll and engine spans in
+// that order (no ingest span for an empty batch), no trace event of its
+// own, and one cycle-timer bracket per epoch even with no detector.
 func TestApplyTelemetry(t *testing.T) {
 	var spans, trace obs.BufferSink
 	timed := 0
+	tracer := obs.NewTracer(&trace)
 	st := New(Config{
 		Nodes:        10,
 		Engine:       reputation.NewEigenTrust(nil),
-		IngestShards: 1,
 		WindowCycles: 2,
-		Tracer:       obs.NewTracer(&trace),
+		Tracer:       tracer,
 		Spans:        obs.NewSpanTracer(&spans, nil),
 		CycleTimer:   func() func() { timed++; return func() {} },
 	})
 	for _, b := range randomBatches(5, 10, 2, 20) {
-		if err := st.Apply(b); err != nil {
-			t.Fatal(err)
-		}
+		st.Apply(b)
 	}
 	if timed != 2 {
 		t.Fatalf("cycle timer ran %d times over 2 epochs", timed)
 	}
-	if !bytes.Contains(trace.Bytes(), []byte(`{"cycle":2,"type":"ingest_audit"`)) {
-		t.Fatalf("ingest audit not stamped with epoch 2:\n%s", trace.Bytes())
+	if len(trace.Bytes()) != 0 {
+		t.Fatalf("detector-free epochs emitted trace events:\n%s", trace.Bytes())
+	}
+	tracer.Emit("probe")
+	if !bytes.Equal(trace.Bytes(), []byte(`{"cycle":2,"type":"probe"}`+"\n")) {
+		t.Fatalf("tracer not stamped with epoch 2:\n%s", trace.Bytes())
 	}
 	var names []string
 	for _, line := range bytes.Split(bytes.TrimSpace(spans.Bytes()), []byte("\n")) {
@@ -191,6 +187,15 @@ func TestApplyTelemetry(t *testing.T) {
 	if !bytes.Contains(spans.Bytes(), []byte(`"iterations":`)) {
 		t.Fatal("engine span carries no EigenTrust payload")
 	}
+	if !bytes.Contains(spans.Bytes(), []byte(`{"cycle":2,"type":"span_end","id":4,"name":"ingest","cost":0,"records":20}`)) {
+		t.Fatalf("epoch 2 ingest span does not carry its record count:\n%s", spans.Bytes())
+	}
+	// An empty batch still rolls and rescores, but opens no ingest span.
+	st.Apply(nil)
+	if bytes.Contains(spans.Bytes(), []byte(`{"cycle":3,"type":"span_begin","id":7,"parent":0,"name":"ingest"}`)) ||
+		!bytes.Contains(spans.Bytes(), []byte(`{"cycle":3,"type":"span_begin","id":7,"parent":0,"name":"window.roll"}`)) {
+		t.Fatalf("empty epoch 3 spans:\n%s", spans.Bytes())
+	}
 }
 
 // TestObservePairFrequencies pins the post-run observation: one sample
@@ -199,9 +204,7 @@ func TestObservePairFrequencies(t *testing.T) {
 	reg := obs.NewRegistry(nil)
 	st := New(Config{Nodes: 12, Engine: reputation.Summation{}, WindowCycles: 2, Obs: reg})
 	for _, b := range randomBatches(9, 12, 5, 30) {
-		if err := st.Apply(b); err != nil {
-			t.Fatal(err)
-		}
+		st.Apply(b)
 	}
 	st.ObservePairFrequencies()
 	h := reg.Histogram("ratings.pair_frequency")

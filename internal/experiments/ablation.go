@@ -68,7 +68,6 @@ func detectionQuality(opts Options, th core.Thresholds) (precision, recall, late
 	var tp, fp, fn, latSum, latN int
 	for run := 0; run < opts.Runs; run++ {
 		cfg := simulator.DefaultConfig()
-		cfg.IngestShards = opts.IngestShards
 		cfg.Seed = opts.Seed + uint64(run)*77
 		cfg.ColluderGoodProb = 0.2
 		cfg.Detector = simulator.DetectorOptimized
@@ -122,7 +121,6 @@ func AbStrict(opts Options) (*Table, error) {
 	}
 	for _, strict := range []bool{false, true} {
 		cfg := simulator.DefaultConfig()
-		cfg.IngestShards = opts.IngestShards
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.CompromisedPairs = [][2]int{{0, 3}, {1, 5}}
@@ -167,7 +165,6 @@ func AbManagers(opts Options) (*Table, error) {
 	opts = opts.normalized()
 	// Build one Figure 10-style ledger.
 	cfg := simulator.DefaultConfig()
-	cfg.IngestShards = opts.IngestShards
 	cfg.Seed = opts.Seed
 	cfg.ColluderGoodProb = 0.2
 	res, err := simulator.Run(cfg)
@@ -228,7 +225,6 @@ func AbFalsePositives(opts Options) (*Table, error) {
 		flagged := 0
 		for run := 0; run < opts.Runs; run++ {
 			cfg := simulator.DefaultConfig()
-			cfg.IngestShards = opts.IngestShards
 			cfg.Seed = opts.Seed + uint64(run)*131
 			cfg.Colluders = nil
 			cfg.Detector = det
@@ -269,7 +265,6 @@ func AbGroup(opts Options) (*Table, error) {
 		counts := map[simulator.DetectorKind]int{}
 		for _, det := range []simulator.DetectorKind{simulator.DetectorOptimized, simulator.DetectorGroup} {
 			cfg := simulator.DefaultConfig()
-			cfg.IngestShards = opts.IngestShards
 			cfg.Seed = opts.Seed
 			cfg.ColluderGoodProb = 0.2
 			cfg.Detector = det
@@ -314,7 +309,6 @@ func AbSybil(opts Options) (*Table, error) {
 		simulator.DetectorGroup, simulator.DetectorSybil,
 	} {
 		cfg := simulator.DefaultConfig()
-		cfg.IngestShards = opts.IngestShards
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.Colluders = nil
@@ -358,7 +352,6 @@ func AbEngines(opts Options) (*Table, error) {
 	for _, engine := range engines {
 		for _, b := range []float64{0.6, 0.2} {
 			cfg := simulator.DefaultConfig()
-			cfg.IngestShards = opts.IngestShards
 			cfg.Seed = opts.Seed
 			cfg.ColluderGoodProb = b
 			cfg.Engine = engine
@@ -407,7 +400,6 @@ func AbTimeline(opts Options) (*Table, error) {
 	series := map[simulator.DetectorKind][][2]float64{} // per cycle: {colMean, preMean}
 	for _, det := range []simulator.DetectorKind{simulator.DetectorNone, simulator.DetectorOptimized} {
 		cfg := simulator.DefaultConfig()
-		cfg.IngestShards = opts.IngestShards
 		cfg.Seed = opts.Seed
 		cfg.Detector = det
 		var timeline [][2]float64

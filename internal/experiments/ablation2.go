@@ -37,7 +37,6 @@ func AbScale(opts Options) (*Table, error) {
 		detected := 0
 		for _, det := range []simulator.DetectorKind{simulator.DetectorNone, simulator.DetectorOptimized} {
 			cfg := simulator.DefaultConfig()
-			cfg.IngestShards = opts.IngestShards
 			cfg.Seed = opts.Seed
 			cfg.Overlay.Nodes = n
 			cfg.ColluderGoodProb = 0.2
@@ -69,7 +68,6 @@ func AbScale(opts Options) (*Table, error) {
 func AbChurn(opts Options) (*Table, error) {
 	opts = opts.normalized()
 	cfg := simulator.DefaultConfig()
-	cfg.IngestShards = opts.IngestShards
 	cfg.Seed = opts.Seed
 	cfg.ColluderGoodProb = 0.2
 	res, err := simulator.Run(cfg)
@@ -147,7 +145,6 @@ func AbIntensity(opts Options) (*Table, error) {
 	}
 	for _, intensity := range []int{1, 2, 5, 10, 20} {
 		cfg := simulator.DefaultConfig()
-		cfg.IngestShards = opts.IngestShards
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.Detector = simulator.DetectorOptimized
@@ -198,7 +195,6 @@ func AbDecentralizedLive(opts Options) (*Table, error) {
 		var meter metrics.CostMeter
 		th := simulator.SimThresholds()
 		cfg := simulator.DefaultConfig()
-		cfg.IngestShards = opts.IngestShards
 		cfg.Seed = opts.Seed
 		cfg.ColluderGoodProb = 0.2
 		cfg.Colluders = colluderSet(nc)

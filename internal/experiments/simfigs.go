@@ -19,7 +19,6 @@ func reputationFigure(id, title string, cfg simulator.Config, opts Options, note
 	opts = opts.normalized()
 	cfg.Seed = opts.Seed
 	cfg.Workers = opts.Workers
-	cfg.IngestShards = opts.IngestShards
 	cfg.Tracer = opts.Tracer // RunAveragedParallel forks per run internally
 	cfg.Obs = opts.Obs
 	cfg.Progress = opts.Progress
@@ -131,7 +130,6 @@ func Fig8(opts Options) (*Table, error) {
 	base.ColluderGoodProb = 0.2
 	base.Engine = simulator.EngineSummation
 	base.Seed = opts.Seed
-	base.IngestShards = opts.IngestShards
 
 	// One cell per detector kind; cells run concurrently and land in
 	// index-ordered slots, so the table is identical for every Workers.
@@ -264,7 +262,6 @@ func Fig12(opts Options) (*Table, error) {
 		cfg.ColluderGoodProb = 0.2
 		cfg.Colluders = colluderSet(nc)
 		cfg.Detector = det
-		cfg.IngestShards = opts.IngestShards
 		cfg.Tracer = kids[c]
 		cfg.Obs = opts.Obs
 		cfg.Progress = opts.Progress
@@ -328,7 +325,6 @@ func Fig13(opts Options) (*Table, error) {
 		cfg.ColluderGoodProb = 0.2
 		cfg.Colluders = colluderSet(nc)
 		cfg.Meter = &meter
-		cfg.IngestShards = opts.IngestShards
 		cfg.Tracer = kids[c]
 		cfg.Obs = opts.Obs
 		cfg.Progress = opts.Progress

@@ -167,12 +167,6 @@ type Options struct {
 	// byte-identical artifacts: cell RNG seeds derive only from Seed and
 	// the cell index, and reductions walk cells in index order.
 	Workers int
-	// IngestShards is forwarded to every simulation the drivers run: when
-	// >= 1 each simulation cycle's ratings flush through the sharded
-	// ingest pipeline with this many writer goroutines. Artifacts are
-	// byte-identical for every value >= 1 (and for 0 up to the absence of
-	// ingest_audit trace events); see simulator.Config.IngestShards.
-	IngestShards int
 	// Tracer, if enabled, threads the observability run trace through
 	// every simulation a driver performs. Cell-parallel figures fork one
 	// buffered child tracer per cell and join them in cell order, so the

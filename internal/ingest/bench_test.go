@@ -8,52 +8,6 @@ import (
 	"github.com/p2psim/collusion/internal/rng"
 )
 
-// sparse100kBatch is the Sparse100k replay workload: one million ratings
-// over 100,000 nodes at ~10 ratings/node — the Amazon-crawl scale the
-// paper's detectors assume arrives as a continuous stream.
-func sparse100kBatch() []Rating {
-	const (
-		n       = 100_000
-		ratings = n * 10
-	)
-	r := rng.New(7)
-	batch := make([]Rating, 0, ratings)
-	for k := 0; k < ratings; k++ {
-		rater, target := r.Intn(n), r.Intn(n)
-		if rater == target {
-			continue
-		}
-		pol := int8(1)
-		if r.Bool(0.2) {
-			pol = -1
-		}
-		batch = append(batch, Rating{Rater: int32(rater), Target: int32(target), Polarity: pol})
-	}
-	return batch
-}
-
-// benchShardedIngest replays the million-rating batch into a fresh ledger
-// with the given writer count. Shards=1 is the single-writer baseline the
-// parallel counts are judged against; the outputs are byte-identical, so
-// the only difference worth measuring is wall time.
-func benchShardedIngest(b *testing.B, shards int) {
-	batch := sparse100kBatch()
-	const n = 100_000
-	g := &Ingester{Shards: shards}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := reputation.NewLedger(n)
-		if err := g.Ingest(batch, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShardedIngest1(b *testing.B) { benchShardedIngest(b, 1) }
-func BenchmarkShardedIngest4(b *testing.B) { benchShardedIngest(b, 4) }
-func BenchmarkShardedIngest8(b *testing.B) { benchShardedIngest(b, 8) }
-
 // The window benchmarks drive cycles of ratings through a
 // window-maintenance strategy: record a cycle's ratings, close the
 // cycle, read the merged window twice (once for scoring, once for

@@ -1,33 +1,18 @@
-// Package ingest is the streaming intake subsystem: it turns bulk rating
-// streams — trace replays, simulator query cycles, live feeds — into
-// ledger updates that scale across cores without ever changing a byte of
-// the results.
+// Package ingest is the rating intake side of the detection plane: the
+// compact Rating record every rating stream arrives as — trace replays,
+// simulator query cycles, service batches — the bridge from a crawled
+// trace to a batch of them, and the WindowLedger that keeps a sliding
+// window of rating periods.
 //
-// Two pieces compose it. The Ingester shards a batch of ratings across K
-// writer goroutines by target row; each writer accumulates a private CSR
-// delta ledger, and the deltas are folded into the destination ledgers in
-// shard-index order, so the outcome is a pure function of the batch
-// content and never of scheduling. The WindowLedger keeps a ring of
-// per-cycle CSR deltas and maintains the merged sliding window
-// incrementally — add the newest delta, subtract the expiring one — in
-// place of the full window re-merge sliding-window runs used to pay every
-// cycle.
-//
-// Determinism contract (the same one internal/parallel documents): every
-// shard count produces observationally identical ledgers — identical
-// adjacency, counts, totals and sorted dirty sets — because per-pair
-// counts are order-independent sums, row adjacency is kept ascending, and
-// rows are partitioned disjointly across shards. The equivalence tests
-// and FuzzShardMerge pin this against the single-writer Record path.
+// A batch reaches the paper's N_(i,j) counts through one path: each
+// rating is Record-ed into the period ledger in batch order (internal/epoch
+// owns that loop). The WindowLedger keeps a ring of per-cycle CSR deltas
+// and maintains the merged sliding window incrementally — add the newest
+// delta, subtract the expiring one — in place of the full window re-merge
+// sliding-window runs used to pay every cycle. Per-pair counts are
+// order-independent sums and row adjacency is kept ascending, so the
+// merged window is observationally identical to a from-scratch re-merge.
 package ingest
-
-import (
-	"fmt"
-
-	"github.com/p2psim/collusion/internal/obs"
-	"github.com/p2psim/collusion/internal/parallel"
-	"github.com/p2psim/collusion/internal/reputation"
-)
 
 // Rating is one intake record: rater scored target with the paper's
 // three-valued polarity (-1, 0, +1). The compact layout keeps
@@ -35,185 +20,4 @@ import (
 type Rating struct {
 	Rater, Target int32
 	Polarity      int8
-}
-
-// Ingester shards rating batches across writer goroutines. The zero value
-// is a valid sequential ingester; set Shards for parallel intake. An
-// Ingester reuses its shard delta ledgers across batches, so one instance
-// must not be shared by concurrent callers.
-type Ingester struct {
-	// Shards is the writer-goroutine count K. Values <= 1 ingest
-	// sequentially on the calling goroutine; every value produces
-	// observationally identical destination ledgers.
-	Shards int
-	// Obs, if non-nil, receives the ingest.records_per_shard histogram:
-	// one observation per shard per batch, recording how many ratings the
-	// shard wrote. Histogram recording is atomic and order-independent.
-	Obs *obs.Registry
-	// Tracer, if enabled, receives one ingest_audit event per batch with
-	// the batch size and the count of distinct targets touched. Both
-	// attributes are pure functions of the batch, never of the shard
-	// count, so traces stay byte-identical for every Shards value.
-	Tracer *obs.Tracer
-	// Spans, if enabled, brackets every Ingest call in an "ingest" span
-	// whose payload (record count) is a pure function of the batch, so
-	// the span timeline is byte-identical for every Shards value.
-	Spans *obs.SpanTracer
-
-	deltas   []*reputation.Ledger // cached per-shard deltas, population n
-	perShard []int                // reused per-shard write-count scratch
-	n        int
-}
-
-// Ingest folds one batch of ratings into every destination ledger. All
-// destinations must share one population size. With Shards <= 1 the batch
-// is recorded directly; otherwise target rows are partitioned across the
-// shard writers (target mod K), each accumulates a private delta, and the
-// deltas merge into each destination in shard-index order. Invalid
-// records (out-of-range nodes, self-ratings, bad polarity) panic exactly
-// as Ledger.Record does: they are caller bugs, not data conditions.
-//
-//colsim:hotpath
-func (g *Ingester) Ingest(batch []Rating, dsts ...*reputation.Ledger) error {
-	if g.Spans.Enabled() {
-		return g.ingestSpanned(batch, dsts)
-	}
-	return g.ingest(batch, dsts)
-}
-
-// ingestSpanned brackets the batch in an "ingest" span.
-//
-//colsim:coldpath span bracketing runs only when a span tracer is attached
-func (g *Ingester) ingestSpanned(batch []Rating, dsts []*reputation.Ledger) error {
-	g.Spans.Begin("ingest")
-	err := g.ingest(batch, dsts)
-	g.Spans.End("ingest", obs.Int("records", len(batch)))
-	return err
-}
-
-// ingest is the span-free batch fold shared by both entry paths.
-//
-//colsim:hotpath
-func (g *Ingester) ingest(batch []Rating, dsts []*reputation.Ledger) error {
-	if len(dsts) == 0 {
-		return fmt.Errorf("ingest: no destination ledgers") //colsimlint:ignore hotalloc caller-bug guard; allocates only on the error path
-	}
-	n := dsts[0].Size()
-	for _, d := range dsts[1:] {
-		if d.Size() != n {
-			return fmt.Errorf("ingest: destination sizes differ: %d vs %d", n, d.Size()) //colsimlint:ignore hotalloc caller-bug guard; allocates only on the error path
-		}
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	shards := g.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards == 1 {
-		for _, d := range dsts {
-			for _, r := range batch {
-				d.Record(int(r.Rater), int(r.Target), int(r.Polarity))
-			}
-		}
-		if h := g.Obs.Histogram("ingest.records_per_shard"); h != nil {
-			h.Observe(int64(len(batch)))
-		}
-		if g.Tracer.Enabled() {
-			g.audit(batch, distinctTargets(batch))
-		}
-		return nil
-	}
-
-	g.ensureDeltas(shards, n)
-	perShard := g.perShard[:shards]
-	parallel.ForEach(shards, shards, func(k int) { //colsimlint:ignore hotalloc one worker-closure fan-out per batch, amortized over the batch's ratings
-		d := g.deltas[k]
-		wrote := 0
-		for _, r := range batch {
-			if int(r.Target)%shards == k {
-				d.Record(int(r.Rater), int(r.Target), int(r.Polarity))
-				wrote++
-			}
-		}
-		perShard[k] = wrote
-	})
-	// Index-ordered reduction: shard rows are disjoint (partitioned by
-	// target), so each merge takes the fresh-row fast path and the merged
-	// adjacency is identical to what sequential Records would have built.
-	for _, d := range g.deltas[:shards] {
-		for _, dst := range dsts {
-			if err := dst.Merge(d); err != nil {
-				return err
-			}
-		}
-	}
-	g.observe(perShard)
-	if g.Tracer.Enabled() {
-		// Shard rows are disjoint, so summing per-delta dirty rows counts
-		// the batch's distinct targets — the same number the sequential
-		// path reports.
-		targets := 0
-		for _, d := range g.deltas[:shards] {
-			targets += len(d.DirtyTargets()) //colsimlint:ignore hotalloc tracing-only branch; the sorted dirty snapshot is the audit's price
-		}
-		g.audit(batch, targets)
-	}
-	return nil
-}
-
-// ensureDeltas readies one empty private delta ledger per shard and the
-// per-shard count scratch, reusing storage from previous batches when the
-// population matches.
-func (g *Ingester) ensureDeltas(shards, n int) {
-	if g.n != n {
-		g.deltas = nil
-		g.n = n
-	}
-	for len(g.deltas) < shards {
-		g.deltas = append(g.deltas, reputation.NewLedger(n)) //colsimlint:ignore hotalloc one delta ledger per shard, allocated on first use or population change and reused for every later batch
-	}
-	if cap(g.perShard) < shards {
-		g.perShard = make([]int, shards) //colsimlint:ignore hotalloc grows to the high-water shard count and is resliced afterwards
-	}
-	for _, d := range g.deltas[:shards] {
-		d.Reset()
-		d.ClearDirty()
-	}
-}
-
-// observe records per-shard write counts into the registry histogram.
-func (g *Ingester) observe(perShard []int) {
-	h := g.Obs.Histogram("ingest.records_per_shard")
-	if h == nil {
-		return
-	}
-	for _, c := range perShard {
-		h.Observe(int64(c))
-	}
-}
-
-// audit emits the per-batch ingest_audit trace event. Both attributes
-// depend only on the batch, so the trace is byte-identical for every
-// shard count.
-//
-//colsim:coldpath reached only from tracing-enabled branches; one event per batch
-func (g *Ingester) audit(batch []Rating, targets int) {
-	g.Tracer.Emit("ingest_audit",
-		obs.Int("records", len(batch)),
-		obs.Int("targets", targets))
-}
-
-// distinctTargets counts the batch's distinct targets for the sequential
-// path's audit event. Only the count is used, so map iteration order
-// cannot leak into output. Skipped entirely when tracing is off.
-//
-//colsim:coldpath tracing-only helper; the per-batch set is the audit's price
-func distinctTargets(batch []Rating) int {
-	seen := make(map[int32]struct{}, len(batch))
-	for _, r := range batch {
-		seen[r.Target] = struct{}{}
-	}
-	return len(seen)
 }

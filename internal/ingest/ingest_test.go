@@ -1,32 +1,11 @@
 package ingest
 
 import (
-	"bytes"
 	"testing"
 
-	"github.com/p2psim/collusion/internal/obs"
 	"github.com/p2psim/collusion/internal/reputation"
-	"github.com/p2psim/collusion/internal/rng"
 	"github.com/p2psim/collusion/internal/trace"
 )
-
-// randomBatch builds count random ratings over an n-node population,
-// skipping self-ratings.
-func randomBatch(r *rng.Rand, n, count int) []Rating {
-	batch := make([]Rating, 0, count)
-	for k := 0; k < count; k++ {
-		rater, target := r.Intn(n), r.Intn(n)
-		if rater == target {
-			continue
-		}
-		batch = append(batch, Rating{
-			Rater:    int32(rater),
-			Target:   int32(target),
-			Polarity: int8(r.Intn(3) - 1),
-		})
-	}
-	return batch
-}
 
 // requireLedgersEqual asserts every observable of got matches want:
 // population, per-target adjacency with aligned counts, receive and sent
@@ -71,138 +50,9 @@ func requireLedgersEqual(t *testing.T, step string, got, want *reputation.Ledger
 	}
 }
 
-// TestShardedMatchesSequential is the subsystem's core determinism gate:
-// for every shard count the sharded ingest must be observationally
-// identical to sequential Record calls — adjacency, counts, totals, and
-// the sorted dirty set.
-func TestShardedMatchesSequential(t *testing.T) {
-	r := rng.New(31)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(60)
-		batch := randomBatch(r, n, r.Intn(800))
-
-		want := reputation.NewLedger(n)
-		for _, rec := range batch {
-			want.Record(int(rec.Rater), int(rec.Target), int(rec.Polarity))
-		}
-
-		for _, k := range []int{1, 2, 4, 8} {
-			got := reputation.NewLedger(n)
-			g := &Ingester{Shards: k}
-			if err := g.Ingest(batch, got); err != nil {
-				t.Fatalf("shards=%d: %v", k, err)
-			}
-			requireLedgersEqual(t, "sharded ingest", got, want, true)
-		}
-	}
-}
-
-// TestIngesterReuseAcrossBatches drives several batches through one
-// Ingester instance (the simulator's per-cycle flush pattern) to pin the
-// delta-cache reuse: accumulated state must match one sequential pass.
-func TestIngesterReuseAcrossBatches(t *testing.T) {
-	r := rng.New(47)
-	const n = 40
-	want := reputation.NewLedger(n)
-	got := reputation.NewLedger(n)
-	g := &Ingester{Shards: 4}
-	for cycle := 0; cycle < 20; cycle++ {
-		batch := randomBatch(r, n, r.Intn(300))
-		for _, rec := range batch {
-			want.Record(int(rec.Rater), int(rec.Target), int(rec.Polarity))
-		}
-		if err := g.Ingest(batch, got); err != nil {
-			t.Fatal(err)
-		}
-	}
-	requireLedgersEqual(t, "multi-batch reuse", got, want, true)
-}
-
-// TestIngestMultipleDestinations mirrors the windowed simulator flush:
-// one batch folds into both the cumulative ledger and the open window
-// delta, and both must match the sequential reference.
-func TestIngestMultipleDestinations(t *testing.T) {
-	r := rng.New(53)
-	const n = 30
-	batch := randomBatch(r, n, 500)
-	want := reputation.NewLedger(n)
-	for _, rec := range batch {
-		want.Record(int(rec.Rater), int(rec.Target), int(rec.Polarity))
-	}
-	a, b := reputation.NewLedger(n), reputation.NewLedger(n)
-	g := &Ingester{Shards: 3}
-	if err := g.Ingest(batch, a, b); err != nil {
-		t.Fatal(err)
-	}
-	requireLedgersEqual(t, "destination a", a, want, true)
-	requireLedgersEqual(t, "destination b", b, want, true)
-}
-
-// TestIngestAuditByteIdentity pins the trace contract: ingest_audit
-// events carry only batch-derived attributes, so the emitted trace bytes
-// are identical for every shard count.
-func TestIngestAuditByteIdentity(t *testing.T) {
-	r := rng.New(61)
-	const n = 50
-	batches := make([][]Rating, 6)
-	for i := range batches {
-		batches[i] = randomBatch(r, n, 200+r.Intn(200))
-	}
-	traceFor := func(shards int) []byte {
-		var sink obs.BufferSink
-		g := &Ingester{Shards: shards, Tracer: obs.NewTracer(&sink)}
-		dst := reputation.NewLedger(n)
-		for _, b := range batches {
-			if err := g.Ingest(b, dst); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sink.Bytes()
-	}
-	ref := traceFor(1)
-	if len(ref) == 0 {
-		t.Fatal("sequential ingest emitted no audit events")
-	}
-	for _, k := range []int{2, 4, 8} {
-		if !bytes.Equal(ref, traceFor(k)) {
-			t.Fatalf("shards=%d changed the audit trace bytes", k)
-		}
-	}
-}
-
-// TestRecordsPerShardHistogram checks the intake metric: one observation
-// per shard per batch, summing to the batch size.
-func TestRecordsPerShardHistogram(t *testing.T) {
-	r := rng.New(67)
-	const n = 40
-	batch := randomBatch(r, n, 600)
-	reg := obs.NewRegistry(nil)
-	g := &Ingester{Shards: 4, Obs: reg}
-	if err := g.Ingest(batch, reputation.NewLedger(n)); err != nil {
-		t.Fatal(err)
-	}
-	h := reg.Histogram("ingest.records_per_shard")
-	if h.Count() != 4 {
-		t.Fatalf("histogram count = %d, want one observation per shard (4)", h.Count())
-	}
-	if h.Sum() != int64(len(batch)) {
-		t.Fatalf("histogram sum = %d, want batch size %d", h.Sum(), len(batch))
-	}
-}
-
-func TestIngestErrors(t *testing.T) {
-	g := &Ingester{Shards: 2}
-	if err := g.Ingest([]Rating{{Rater: 0, Target: 1, Polarity: 1}}); err == nil {
-		t.Error("missing destinations not reported")
-	}
-	if err := g.Ingest([]Rating{{Rater: 0, Target: 1, Polarity: 1}},
-		reputation.NewLedger(4), reputation.NewLedger(5)); err == nil {
-		t.Error("destination size mismatch not reported")
-	}
-}
-
 // TestReplayTrace checks the trace bridge: score-to-polarity conversion,
-// population sizing, and shard-count independence of the replayed ledger.
+// self-rating removal and population sizing, replaying the batch into a
+// ledger the way epoch intake does, one Record per rating.
 func TestReplayTrace(t *testing.T) {
 	tr := &trace.Trace{Ratings: []trace.Rating{
 		{Day: 1, Rater: 0, Target: 3, Score: 5},
@@ -219,12 +69,9 @@ func TestReplayTrace(t *testing.T) {
 	want.Record(3, 0, -1)
 	want.Record(2, 3, 0)
 	want.Record(4, 2, 1)
-	for _, k := range []int{1, 4} {
-		got := reputation.NewLedger(5)
-		g := &Ingester{Shards: k}
-		if err := g.ReplayTrace(tr, got); err != nil {
-			t.Fatal(err)
-		}
-		requireLedgersEqual(t, "trace replay", got, want, true)
+	got := reputation.NewLedger(Population(tr))
+	for _, r := range FromTrace(tr) {
+		got.Record(int(r.Rater), int(r.Target), int(r.Polarity))
 	}
+	requireLedgersEqual(t, "trace replay", got, want, true)
 }

@@ -1,9 +1,6 @@
 package ingest
 
-import (
-	"github.com/p2psim/collusion/internal/reputation"
-	"github.com/p2psim/collusion/internal/trace"
-)
+import "github.com/p2psim/collusion/internal/trace"
 
 // Population returns the smallest ledger size able to hold every node in
 // the trace: one past the highest rater or target ID.
@@ -37,12 +34,4 @@ func FromTrace(tr *trace.Trace) []Rating {
 		})
 	}
 	return batch
-}
-
-// ReplayTrace bulk-loads a whole trace into the destination ledgers
-// through the sharded pipeline: one batch, one ingest_audit event, one
-// records_per_shard observation per shard. The resulting ledgers are
-// byte-identical for every shard count.
-func (g *Ingester) ReplayTrace(tr *trace.Trace, dsts ...*reputation.Ledger) error {
-	return g.Ingest(FromTrace(tr), dsts...)
 }

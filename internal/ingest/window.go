@@ -17,9 +17,8 @@ import (
 // observationally identical to a from-scratch re-merge; the property test
 // pins this against reputation.WindowedLedger over a thousand cycles).
 //
-// Usage follows the simulation loop: Record (or batch-ingest into
-// Current) during a cycle, Roll once when the cycle closes, then read
-// Window. The merged view is live and stable — the same *Ledger instance
+// Usage follows the simulation loop: Record a cycle's ratings (here or
+// into Current), Roll once when the cycle closes, then read Window. The merged view is live and stable — the same *Ledger instance
 // across cycles — and Roll reports exactly which of its rows the cycle
 // changed (delta rows merged in plus rows the evicted period's
 // subtraction touched), so windowed consumers drive incremental
@@ -48,8 +47,8 @@ type WindowLedger struct {
 	Obs *obs.Registry
 	// Spans, if enabled, brackets every Roll in a "window.roll" span whose
 	// payload (delta rows sealed, dirty rows reported) is a pure function
-	// of the rating stream, keeping the span timeline byte-identical for
-	// every shard count.
+	// of the rating stream, keeping the span timeline byte-identical on
+	// every replay.
 	Spans *obs.SpanTracer
 }
 
@@ -87,8 +86,8 @@ func (w *WindowLedger) Record(rater, target, polarity int) {
 	w.cur.Record(rater, target, polarity)
 }
 
-// Current returns the open period's delta ledger — the destination batch
-// ingest writes into. Live view; sealed by the next Roll.
+// Current returns the open period's delta ledger — the ledger epoch
+// intake records a batch into. Live view; sealed by the next Roll.
 func (w *WindowLedger) Current() *reputation.Ledger { return w.cur }
 
 // Roll seals the open period into the window: the expiring delta (if the
@@ -100,8 +99,8 @@ func (w *WindowLedger) Current() *reputation.Ledger { return w.cur }
 // Roll returns the cycle's dirty set: every target row the merged window
 // view changed this cycle — the rows the sealed delta merged in plus the
 // rows the evicted delta's subtraction touched — ascending and
-// deterministic (a pure function of the rating stream, never of shard
-// count or scheduling). It is exactly the dirty argument
+// deterministic (a pure function of the rating stream, never of
+// scheduling). It is exactly the dirty argument
 // core.IncrementalDetector.DetectIncremental requires for the merged
 // window, and Roll consumes the merged ledger's dirty-set bookkeeping to
 // produce it, so callers must not also call ClearDirty on Window().

@@ -128,9 +128,9 @@ func TestDeterminismObsRestricted(t *testing.T) {
 	checkFixture(t, lint.DeterminismAnalyzer, pkg)
 }
 
-// TestDeterminismIngestRestricted proves the streaming-ingest subsystem
-// is a seeded tree: its shard partitioning and delta-ring maintenance
-// must never draw on unseeded randomness or the wall clock, so the dirty
+// TestDeterminismIngestRestricted proves the intake package is a seeded
+// tree: its trace bridge and delta-ring maintenance must never draw on
+// unseeded randomness or the wall clock, so the dirty
 // fixture under internal/ingest yields the same findings as under
 // internal/core.
 func TestDeterminismIngestRestricted(t *testing.T) {

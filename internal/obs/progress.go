@@ -11,9 +11,9 @@ import "sync"
 //
 // The line stream is deterministic whenever the registry content is: a
 // seeded single run with no wall-clock collectors attached produces a
-// byte-identical progress file on every replay, for every worker and
-// shard count (meter charges, memo counters and window histograms are
-// all pinned worker- and shard-invariant elsewhere). Attaching
+// byte-identical progress file on every replay, for every worker count
+// (meter charges, memo counters and window histograms are all pinned
+// worker-invariant elsewhere). Attaching
 // wall-clock histograms (detect.cycle_ns, span.*_ns) or sharing one
 // Progress across concurrently-executing runs degrades the file to a
 // live operational feed: still canonical per line, no longer replayable.

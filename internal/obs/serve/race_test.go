@@ -11,8 +11,8 @@ import (
 	"github.com/p2psim/collusion/internal/simulator"
 )
 
-// TestConcurrentScrapeDuringRun is the telemetry race hammer: a windowed,
-// sharded-ingest simulation records into the registry while scraper
+// TestConcurrentScrapeDuringRun is the telemetry race hammer: a windowed
+// simulation records into the registry while scraper
 // goroutines hammer WritePrometheus and Snapshot/Diff, plus one client
 // scraping the HTTP endpoints — the exact concurrency a live -telemetry-addr
 // run exposes. The CI race job runs this package under -race, which is
@@ -31,7 +31,6 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	cfg.ColluderGoodProb = 0.2
 	cfg.Detector = simulator.DetectorOptimized
 	cfg.WindowCycles = 3
-	cfg.IngestShards = 4
 	cfg.Meter = &meter
 	cfg.Obs = reg
 

@@ -30,7 +30,7 @@ type HistogramSample struct {
 // state are deeply equal and Diff can merge-walk them. Snapshots are
 // values: taking one never blocks recorders beyond the registry's brief
 // name-map lock, which is what lets a telemetry server snapshot a live
-// run concurrently with sharded ingest (pinned under -race).
+// run concurrently with its epochs (pinned under -race).
 type RegistrySnapshot struct {
 	Counters   []CounterSample
 	Gauges     []GaugeSample

@@ -19,8 +19,7 @@ type SpanObserver interface {
 // sequential, parents come from an explicit stack, and the only payload a
 // span carries beyond its identity is cycle-time data (cost-meter deltas,
 // dirty-row counts, memo hit/miss deltas), so a seeded run produces a
-// byte-identical timeline on every replay, for every worker count and
-// every ingest shard count.
+// byte-identical timeline on every replay, for every worker count.
 //
 // A nil SpanTracer (or one with a nil sink) is a valid disabled tracer:
 // Enabled reports false without allocating, and every method is a no-op,
@@ -142,7 +141,7 @@ func (s *SpanTracer) Close() error {
 }
 
 // total reads the meter total priced into span cost deltas (0 without a
-// meter). Meter totals are worker-count- and shard-count-invariant (the
+// meter). Meter totals are worker-count-invariant (the
 // parallel-equivalence tests pin exact charge equality), so the deltas
 // are too.
 func (s *SpanTracer) total() int64 {

@@ -7,9 +7,9 @@ import "math/bits"
 // into power-of-two spans that rows reference by (block, offset, length).
 // Growing a row to its next size class copies it into a new span and
 // returns the old one to a per-class free list, so the steady state of any
-// workload — sharded ingest deltas reset every batch, window rows that
-// shrink and regrow as periods expire — recycles spans instead of touching
-// the heap. Building the ledger therefore allocates O(blocks), not one
+// workload — window deltas reset every period, window rows that shrink
+// and regrow as periods expire — recycles spans instead of touching the
+// heap. Building the ledger therefore allocates O(blocks), not one
 // append chain per (target, rater) pair: the n=100k / 1M-rating footprint
 // benchmark drops from ~1.46M allocations to a few hundred.
 //

@@ -272,8 +272,8 @@ func (l *Ledger) markDirty(target int) {
 
 // Reset clears the ledger for a new period T. Cost is O(n): every row
 // span returns to its arena free list, so the next period's rows recycle
-// the same chunks — the sharded ingest deltas and the window ring rely on
-// this to stay allocation-free across batches.
+// the same chunks — the window ring relies on this to stay
+// allocation-free across periods.
 func (l *Ledger) Reset() {
 	for t := range l.rows {
 		r := &l.rows[t]

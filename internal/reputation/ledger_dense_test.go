@@ -295,8 +295,8 @@ func TestLedgerMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestLedgerResetReusesArena pins the free-list contract the sharded
-// ingest recycling path depends on: Reset returns every row span to the
+// TestLedgerResetReusesArena pins the free-list contract the window
+// ring's delta recycling depends on: Reset returns every row span to the
 // arena's free lists, so refilling the ledger — even with a different
 // row shape — reuses recycled spans instead of growing new blocks. After
 // one warm-up fill the Reset+refill cycle must be allocation-free.

@@ -15,14 +15,13 @@ import (
 
 // equivConfig is the shrunk paper setup the equivalence suite drives both
 // planes with.
-func equivConfig(workers, shards, window int) simulator.Config {
+func equivConfig(workers, window int) simulator.Config {
 	cfg := simulator.DefaultConfig()
 	cfg.Overlay.Nodes = 60
 	cfg.SimCycles = 8
 	cfg.QueryCycles = 10
 	cfg.Detector = simulator.DetectorOptimized
 	cfg.Workers = workers
-	cfg.IngestShards = shards
 	cfg.WindowCycles = window
 	return cfg
 }
@@ -39,7 +38,6 @@ func newStoreFor(t *testing.T, cfg simulator.Config, reg *obs.Registry) *service
 		Engine:       simulator.BuildEngine(built),
 		Detector:     simulator.BuildPairDetector(built),
 		Thresholds:   built.DetectionThresholds(),
-		IngestShards: built.IngestShards,
 		WindowCycles: built.WindowCycles,
 		Obs:          reg,
 	})
@@ -71,23 +69,21 @@ func stripServiceMetrics(dump []byte) string {
 // scores and at the end for the flag set, first-detection epochs,
 // evidence pairs, frozen ledger and registry metrics. Both planes drive
 // the same epoch transition (internal/epoch), so this is the check that
-// they feed it identically. The combos sweep
-// engine worker count, ingest shard count (including the legacy direct
-// path) and both ledger modes, none of which may leak into outputs.
+// they feed it identically. The combos sweep engine worker count and
+// both ledger modes, neither of which may leak into outputs.
 func TestServedMatchesBatch(t *testing.T) {
-	combos := []struct{ workers, shards, window int }{
-		{1, 0, 0},
-		{1, 1, 0},
-		{1, 8, 4},
-		{4, 1, 4},
-		{4, 8, 0},
+	combos := []struct{ workers, window int }{
+		{1, 0},
+		{1, 4},
+		{4, 0},
+		{4, 4},
 	}
 	for _, c := range combos {
 		c := c
-		t.Run(fmt.Sprintf("w%d_s%d_win%d", c.workers, c.shards, c.window), func(t *testing.T) {
+		t.Run(fmt.Sprintf("w%d_win%d", c.workers, c.window), func(t *testing.T) {
 			// Batch plane: the ordinary simulation run, metrics observed.
 			regA := obs.NewRegistry(nil)
-			cfgA := equivConfig(c.workers, c.shards, c.window)
+			cfgA := equivConfig(c.workers, c.window)
 			cfgA.Obs = regA
 			resA, err := simulator.Run(cfgA)
 			if err != nil {
@@ -98,7 +94,7 @@ func TestServedMatchesBatch(t *testing.T) {
 			// observes the identical rating stream and recomputes
 			// everything itself.
 			regB := obs.NewRegistry(nil)
-			cfgB := equivConfig(c.workers, c.shards, c.window)
+			cfgB := equivConfig(c.workers, c.window)
 			st := newStoreFor(t, cfgB, regB)
 			defer st.Close()
 
@@ -198,7 +194,7 @@ func TestServedMatchesBatch(t *testing.T) {
 // yields byte-identical responses on a second replay, and its final
 // flagged document equals the directly-served store's.
 func TestReplayMatchesDirect(t *testing.T) {
-	cfg := equivConfig(1, 1, 0)
+	cfg := equivConfig(1, 0)
 	st := newStoreFor(t, cfg, nil)
 	defer st.Close()
 
@@ -219,7 +215,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 	log = service.AppendRequestQuery(log, "flagged")
 
 	replayOnce := func() []byte {
-		cfg2 := equivConfig(1, 1, 0)
+		cfg2 := equivConfig(1, 0)
 		st2 := newStoreFor(t, cfg2, nil)
 		defer st2.Close()
 		var out bytes.Buffer

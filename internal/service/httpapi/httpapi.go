@@ -14,6 +14,7 @@
 package httpapi
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -83,8 +84,14 @@ func (a *API) ratings(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch, err := a.store.Apply(batch)
-	if err != nil {
+	switch {
+	case errors.Is(err, service.ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	case err != nil:
+		// The store rejected the batch itself (one that could wrap a pair
+		// counter): the client's to fix, like the codec's rejections.
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	writeLine(w, service.AppendIngestReply(nil, epoch, len(batch)))

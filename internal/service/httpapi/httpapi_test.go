@@ -88,7 +88,7 @@ func TestEndpoints(t *testing.T) {
 }
 
 func TestEndpointErrors(t *testing.T) {
-	a, _, _ := testAPI(t)
+	a, st, _ := testAPI(t)
 	cases := []struct {
 		method, path, body string
 		want               int
@@ -108,6 +108,12 @@ func TestEndpointErrors(t *testing.T) {
 		if code != c.want {
 			t.Errorf("%s %s: status %d, want %d (%q)", c.method, c.path, code, c.want, body)
 		}
+	}
+	// A valid batch after Close finds the service unavailable; it is not
+	// a bad request.
+	st.Close()
+	if code, body := do(t, a, http.MethodPost, "/v1/ratings", `{"op":"ingest","ratings":[[1,2,1]]}`); code != http.StatusServiceUnavailable {
+		t.Errorf("POST /v1/ratings after Close: status %d, want %d (%q)", code, http.StatusServiceUnavailable, body)
 	}
 }
 

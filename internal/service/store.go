@@ -12,7 +12,7 @@
 // batch run from the same configuration: the same ledger, the same engine
 // scores, the same flag set, evidence pairs and registry metrics. The
 // equivalence tests in this package pin that contract for every tested
-// worker and ingest-shard count.
+// worker count, cumulative and windowed.
 //
 // Concurrency model: a single writer goroutine owns every piece of
 // mutable detection state (the epoch state and its detector memo) and
@@ -29,6 +29,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -59,10 +60,6 @@ type Config struct {
 	// path (core.ExplainPair); zero value selects core.DefaultThresholds.
 	// They should match the detector's.
 	Thresholds core.Thresholds
-	// IngestShards >= 1 routes each batch through the sharded ingest.Ingester
-	// with that many writer goroutines; 0 records directly, the same two
-	// intake paths (and telemetry) as the simulator.
-	IngestShards int
 	// WindowCycles > 0 evaluates scores and detection over a sliding
 	// window of the last WindowCycles epochs instead of the cumulative
 	// history, through the same delta-ring WindowLedger as batch runs.
@@ -70,8 +67,8 @@ type Config struct {
 	// Obs, if non-nil, receives the same histograms and counters a batch
 	// run records, plus the service.* ingest-plane telemetry.
 	Obs *obs.Registry
-	// Tracer, if enabled, receives the detector's audit events and the
-	// ingest pipeline's shard audits, stamped with the epoch as the cycle.
+	// Tracer, if enabled, receives the detector's audit events, stamped
+	// with the epoch as the cycle.
 	Tracer *obs.Tracer
 	// Spans, if enabled, receives the epoch's ingest, window.roll and
 	// engine spans and the detector's span brackets.
@@ -136,9 +133,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("service: Engine is required")
 	}
-	if cfg.IngestShards < 0 {
-		return nil, fmt.Errorf("service: IngestShards = %d, want >= 0", cfg.IngestShards)
-	}
 	if cfg.WindowCycles < 0 {
 		return nil, fmt.Errorf("service: WindowCycles = %d, want >= 0", cfg.WindowCycles)
 	}
@@ -158,7 +152,6 @@ func New(cfg Config) (*Store, error) {
 			Nodes:        cfg.Nodes,
 			Engine:       cfg.Engine,
 			Detector:     cfg.Detector,
-			IngestShards: cfg.IngestShards,
 			WindowCycles: cfg.WindowCycles,
 			Obs:          cfg.Obs,
 			Tracer:       cfg.Tracer,
@@ -220,14 +213,14 @@ func (s *Store) submit(c command) (int64, error) {
 	}
 }
 
-// Apply ingests one rating batch as the next epoch: the batch is folded
-// into the period ledger (sharded when configured), the window rolls, the
-// engine rescores, the detector runs over the epoch's dirty set, and the
-// resulting state is published as a new snapshot — all before Apply
-// returns the new epoch watermark. The batch is validated up front;
-// invalid batches reject whole with no state change. Apply is safe for
-// concurrent use (batches serialize in arrival order), but the batch
-// slice must not be mutated until Apply returns.
+// Apply ingests one rating batch as the next epoch: the batch is recorded
+// into the period ledger, the window rolls, the engine rescores, the
+// detector runs over the epoch's dirty set, and the resulting state is
+// published as a new snapshot — all before Apply returns the new epoch
+// watermark. Invalid batches (see ValidateBatch) and batches that could
+// wrap a per-pair counter reject whole with no state change. Apply is
+// safe for concurrent use (batches serialize in arrival order), but the
+// batch slice must not be mutated until Apply returns.
 func (s *Store) Apply(batch []ingest.Rating) (int64, error) {
 	if err := ValidateBatch(batch, s.n); err != nil {
 		return 0, err
@@ -273,17 +266,37 @@ func ValidateBatch(batch []ingest.Rating, n int) error {
 	return nil
 }
 
-// applyBatch is the writer side of Apply: one epoch transition, then
-// its publication.
+// applyBatch is the writer side of Apply: the counter check, one epoch
+// transition, then its publication.
 func (s *Store) applyBatch(batch []ingest.Rating) reply {
-	if err := s.ep.Apply(batch); err != nil {
+	if err := checkPairCounts(s.ep.Ledger(), batch); err != nil {
 		return reply{epoch: s.ep.Epoch(), err: err}
 	}
+	s.ep.Apply(batch)
 	s.publish()
 	s.mBatches.Add(1)
 	s.mRatings.Add(int64(len(batch)))
 	s.gEpoch.Set(float64(s.ep.Epoch()))
 	return reply{epoch: s.ep.Epoch()}
+}
+
+// checkPairCounts rejects a batch that could wrap a per-pair counter.
+// The ledger keeps N_(i,j) as int32, and no pair count exceeds its
+// target's total N_i, so a batch fits when every target it rates stays
+// within math.MaxInt32 even if the whole batch lands on that target. The
+// bound holds for the window too: the open delta starts each epoch empty,
+// and the roll only adds this batch and subtracts the expiring period.
+// Without the check a long-lived cumulative store would wrap a hot pair
+// negative, and the detectors' N_(i,j) >= T_N gate would clear it for
+// good.
+func checkPairCounts(period *reputation.Ledger, batch []ingest.Rating) error {
+	room := math.MaxInt32 - len(batch)
+	for _, r := range batch {
+		if n := period.TotalFor(int(r.Target)); n > room {
+			return fmt.Errorf("service: target %d already holds %d ratings; a batch of %d could overflow its int32 pair counts", r.Target, n, len(batch))
+		}
+	}
+	return nil
 }
 
 // publish freezes the writer state into a snapshot (recycled when one is

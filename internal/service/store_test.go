@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,7 +62,6 @@ func TestNewValidation(t *testing.T) {
 		{},
 		{Nodes: 10},
 		{Nodes: -1, Engine: reputation.Summation{}},
-		{Nodes: 10, Engine: reputation.Summation{}, IngestShards: -1},
 		{Nodes: 10, Engine: reputation.Summation{}, WindowCycles: -1},
 	}
 	for i, cfg := range bad {
@@ -103,6 +103,56 @@ func TestValidateBatch(t *testing.T) {
 	defer sn.Release()
 	if sn.Epoch() != 0 {
 		t.Fatalf("rejected batches advanced epoch to %d", sn.Epoch())
+	}
+}
+
+// TestPairCountGuard pins the int32 pair-counter guard on a cumulative
+// store: a batch that would carry a pair count past math.MaxInt32 is
+// rejected whole without advancing the epoch, and a batch that brings
+// the count exactly to the limit still applies. Between Applys the test
+// doubles the period ledger in place with self-Merges; the writer loop's
+// reply and command channels order those writes around its own.
+func TestPairCountGuard(t *testing.T) {
+	s := testStore(t, 4, Config{})
+	flood := func(count int) []ingest.Rating { // N_(2,1) += count
+		batch := make([]ingest.Rating, count)
+		for k := range batch {
+			batch[k] = ingest.Rating{Rater: 1, Target: 2, Polarity: 1}
+		}
+		return batch
+	}
+	const doublings = 16
+	const room = 1<<doublings - 1 // headroom left under math.MaxInt32
+	if _, err := s.Apply(flood(1<<(31-doublings) - 1)); err != nil {
+		t.Fatal(err)
+	}
+	period := s.ep.Ledger()
+	for k := 0; k < doublings; k++ {
+		if err := period.Merge(period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := period.PairTotal(2, 1); got != math.MaxInt32-room {
+		t.Fatalf("inflated N_(2,1) = %d, want %d", got, math.MaxInt32-room)
+	}
+
+	if epoch, err := s.Apply(flood(room + 1)); err == nil {
+		t.Fatalf("batch wrapping N_(2,1) accepted at epoch %d", epoch)
+	}
+	sn := s.Acquire()
+	rejectedAt := sn.Epoch()
+	sn.Release()
+	if rejectedAt != 1 {
+		t.Fatalf("rejected batch advanced the epoch to %d", rejectedAt)
+	}
+
+	if epoch, err := s.Apply(flood(room)); err != nil || epoch != 2 {
+		t.Fatalf("batch that fits: epoch %d, error %v; want epoch 2", epoch, err)
+	}
+	sn = s.Acquire()
+	defer sn.Release()
+	if got := sn.Ledger().PairTotal(2, 1); got != math.MaxInt32 {
+		t.Fatalf("N_(2,1) = %d after the fitting batch, want %d", got, math.MaxInt32)
 	}
 }
 

@@ -185,16 +185,6 @@ type Config struct {
 	// Every worker count produces bit-identical results; see the
 	// reputation.EigenTrust.Workers documentation for why.
 	Workers int
-	// IngestShards, when >= 1, routes each cycle's ratings through the
-	// internal/ingest sharded pipeline: the cycle's batch is partitioned
-	// across IngestShards writer goroutines before reputations update. 0
-	// records the batch directly on one writer. Either way ratings buffer
-	// during the query cycles and reach the ledger at the cycle boundary,
-	// the only time it is read, and the ingest determinism contract makes
-	// every value >= 1 produce byte-identical ledgers, results and traces
-	// (values 0 and >= 1 differ only by the ingest_audit trace events the
-	// pipeline emits).
-	IngestShards int
 	// Meter, if non-nil, accumulates operation costs across the run.
 	Meter *metrics.CostMeter
 	// OnCycle, if non-nil, observes the simulation after every cycle's
@@ -222,10 +212,11 @@ type Config struct {
 	Obs *obs.Registry
 	// Spans, if enabled, receives the hierarchical span timeline: a run
 	// span wrapping one cycle span per simulation cycle, each bracketing
-	// the ingest, window.roll, reputation-engine and detect phases. Span
-	// payloads are deterministic (cost-meter deltas, dirty-row counts,
+	// the ingest (every cycle that recorded ratings), window.roll
+	// (windowed runs), reputation-engine and detect phases. Span payloads
+	// are deterministic (cost-meter deltas, record and dirty-row counts,
 	// memo hit/miss deltas), so a seeded run's timeline is byte-identical
-	// on every replay, for every Workers and IngestShards value. The span
+	// on every replay, for every Workers value. The span
 	// tracer is stateful and not concurrency-safe, so — unlike Tracer — an
 	// attached one forces RunAveragedParallel sequential, like OnCycle.
 	Spans *obs.SpanTracer
@@ -378,9 +369,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("simulator: Workers = %d, want >= 0", c.Workers)
-	}
-	if c.IngestShards < 0 {
-		return fmt.Errorf("simulator: IngestShards = %d, want >= 0", c.IngestShards)
 	}
 	if c.CollusionStartCycle < 0 || c.CollusionStartCycle > c.SimCycles {
 		return fmt.Errorf("simulator: CollusionStartCycle = %d outside [0,%d]",

@@ -25,16 +25,15 @@ func spanConfig() Config {
 	return cfg
 }
 
-// spanTimeline runs spanConfig with the given worker and ingest-shard
-// counts (and a fresh meter, as every CLI invocation has) and returns the
-// emitted span timeline bytes.
-func spanTimeline(t *testing.T, workers, shards int) []byte {
+// spanTimeline runs spanConfig with the given worker count (and a fresh
+// meter, as every CLI invocation has) and returns the emitted span
+// timeline bytes.
+func spanTimeline(t *testing.T, workers int) []byte {
 	t.Helper()
 	var sink obs.BufferSink
 	var meter metrics.CostMeter
 	cfg := spanConfig()
 	cfg.Workers = workers
-	cfg.IngestShards = shards
 	cfg.Meter = &meter
 	cfg.Spans = obs.NewSpanTracer(&sink, &meter)
 	if _, err := Run(cfg); err != nil {
@@ -47,12 +46,11 @@ func spanTimeline(t *testing.T, workers, shards int) []byte {
 }
 
 // TestSpanTimelineByteIdentical pins the tentpole acceptance criterion:
-// the span timeline is byte-identical across repeats, worker counts
-// {1, 4} and ingest-shard counts {1, 8} on a seeded windowed run —
-// span costs come from the meter total, which the parallel- and
-// shard-equivalence tests pin invariant.
+// the span timeline is byte-identical across repeats and worker counts
+// {1, 4} on a seeded windowed run — span costs come from the meter
+// total, which the parallel-equivalence tests pin invariant.
 func TestSpanTimelineByteIdentical(t *testing.T) {
-	base := spanTimeline(t, 1, 1)
+	base := spanTimeline(t, 1)
 	if len(base) == 0 {
 		t.Fatal("span-traced run produced no events")
 	}
@@ -69,13 +67,11 @@ func TestSpanTimelineByteIdentical(t *testing.T) {
 			t.Errorf("eigentrust span missing payload attr %s", attr)
 		}
 	}
-	if !bytes.Equal(base, spanTimeline(t, 1, 1)) {
+	if !bytes.Equal(base, spanTimeline(t, 1)) {
 		t.Fatal("repeated seeded runs produced different span timelines")
 	}
-	for _, tc := range [][2]int{{4, 1}, {1, 8}, {4, 8}} {
-		if !bytes.Equal(base, spanTimeline(t, tc[0], tc[1])) {
-			t.Fatalf("workers=%d ingest-shards=%d changed the span timeline bytes", tc[0], tc[1])
-		}
+	if !bytes.Equal(base, spanTimeline(t, 4)) {
+		t.Fatal("workers=4 changed the span timeline bytes")
 	}
 }
 
@@ -84,7 +80,7 @@ func TestSpanTimelineByteIdentical(t *testing.T) {
 // zero, so downstream folding (traceanalyze spans) never sees a
 // truncated tree from a completed run.
 func TestSpanTimelineBalanced(t *testing.T) {
-	lines := strings.Split(strings.TrimSuffix(string(spanTimeline(t, 1, 1)), "\n"), "\n")
+	lines := strings.Split(strings.TrimSuffix(string(spanTimeline(t, 1)), "\n"), "\n")
 	depth := 0
 	begins, ends := 0, 0
 	for _, line := range lines {
