@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/p2psim/collusion/internal/metrics"
 	"github.com/p2psim/collusion/internal/obs"
 	"github.com/p2psim/collusion/internal/reputation"
@@ -73,7 +75,7 @@ func (r *Result) insertPair(e Evidence) bool {
 		return false
 	}
 	r.pairSet[key] = struct{}{}
-	r.Pairs = append(r.Pairs, e) //colsimlint:ignore hotalloc pair list grows to the high-water detection count; endRun hands the storage back for the next cycle
+	r.Pairs = append(r.Pairs, e) //colsimlint:ignore hotalloc pair list grows to the high-water detection count; the incremental state keeps its Result, so later passes reuse the storage
 	r.Flagged[e.I] = true
 	r.Flagged[e.J] = true
 	return true
@@ -98,9 +100,11 @@ type Detector interface {
 type IncrementalDetector interface {
 	Detector
 	// DetectIncremental behaves exactly like Detect — identical pairs,
-	// identical meter charges, identical audit events — but memoizes each
-	// examined pair's screen outcome and replays it while neither node's
-	// received-rating row has changed. Memo validity is keyed on the
+	// identical meter charges, identical audit events — but examines only
+	// the pairs whose rating count reaches T_N, charges the dense visits of
+	// all others in closed form, and memoizes each examined pair's screen
+	// outcome, replaying it while neither node's received-rating row has
+	// changed. Memo validity is keyed on the
 	// ledger's per-target row generations (Ledger.RowGen), so the ledger
 	// may mutate in place between calls — a windowed merge, a Subtract of
 	// an expiring period — without resetting the detector's state. dirty
@@ -135,58 +139,78 @@ type pairEntry struct {
 }
 
 // runBuffers is the per-detection scratch an incremental detector reuses
-// across cycles, so steady-state passes allocate nothing.
+// across cycles, so steady-state passes allocate nothing. res is the
+// untraced pass's Result, kept here so its storage persists and so the
+// pair screens can take its address without moving it to the heap.
+// Between passes res.Flagged, inQueue and pairCount are all-false/zero
+// except where the last pass's pairs and sweep queue left marks, and each
+// pass resets exactly those, so no pass pays an O(n) clear.
 type runBuffers struct {
-	candidates []int
-	high       []bool
-	highList   []int
-	flagged    []bool
-	pairs      []Evidence
-	pairSet    map[[2]int]struct{}
-	queue      []int
-	inQueue    []bool
-	pairCount  []int
+	res       Result
+	queue     []int
+	inQueue   []bool
+	pairCount []int
 }
 
 // incrementalState is one detector's memoization across DetectIncremental
-// calls: the maintained high-reputation candidate bitmap, the pair screen
-// cache (validated against the ledger's row generations), the telemetry
-// counters, and the reusable scratch buffers.
+// calls: the maintained candidate and frequent-row screens, the pair
+// screen memo (validated against the ledger's row generations), the
+// telemetry counters, and the reusable scratch buffers.
 type incrementalState struct {
 	ledger *reputation.Ledger
 	n      int
-	cache  map[[2]int32]pairEntry
 	buf    runBuffers
 
-	// cand[i] memoizes the T_R candidate screen: SummationScore(i) >= TR.
-	// The score is a function of i's row alone, so only dirty rows need
-	// rescreening each cycle — candidate maintenance is O(dirty), not a
-	// recomputation over all n score totals. seeded marks the bitmap
-	// initialized by a first full pass.
-	cand   []bool
-	seeded bool
+	// memo holds the screens of the pairs the last untraced pass examined;
+	// the running pass writes every pair it examines, replayed or fresh,
+	// into next, and the two swap at its end. A pair can enter or leave the
+	// examined set only when one of its two rows changes, which already
+	// invalidates its entry, so dropping the pairs a pass did not examine
+	// loses no hit and bounds the memo by the live frequent-pair count.
+	memo, next map[[2]int32]pairEntry
+
+	// cand[i] memoizes the T_R candidate screen, SummationScore(i) >= TR,
+	// and m counts the candidates. freq[i] reports whether row i holds a
+	// rater with N_(i,j) >= T_N, and freqRows lists those rows ascending.
+	// All are functions of row i alone, so after a first full pass
+	// (seeded) only dirty rows are rescreened. adds is the scratch for
+	// rows turning frequent.
+	cand, freq []bool
+	m          int
+	freqRows   []int32
+	adds       []int32
+	seeded     bool
 
 	// hits/misses are the detect.incremental_hits / _misses registry
 	// counters (nil without a registry): one hit per memoized pair screen
-	// replayed, one miss per pair screened fresh and cached. Resolved once
-	// per attach, cached here to keep the per-pair path map-free.
+	// replayed, one miss per pair screened fresh. Resolved once per attach,
+	// cached here to keep the per-pair path map-free.
 	hits, misses *obs.Counter
 }
 
 // ensureIncremental returns the detector's state, resetting it whenever
 // the ledger identity or population changed (a new run, a cloned ledger)
 // so stale screens can never leak across ledgers. In-place mutation of
-// the same ledger does NOT reset the state: the pair cache revalidates
+// the same ledger does NOT reset the state: the pair memo revalidates
 // against the ledger's row generations instead.
 //
 //colsim:coldpath allocates a fresh state only when the ledger identity or population changes; steady-state calls return the cached pointer
 func ensureIncremental(slot **incrementalState, l *reputation.Ledger, reg *obs.Registry) *incrementalState {
 	st := *slot
 	if st == nil || st.ledger != l || st.n != l.Size() {
+		n := l.Size()
 		st = &incrementalState{
 			ledger: l,
-			n:      l.Size(),
-			cache:  make(map[[2]int32]pairEntry),
+			n:      n,
+			buf: runBuffers{
+				res:       Result{Flagged: make([]bool, n), pairSet: make(map[[2]int]struct{})},
+				inQueue:   make([]bool, n),
+				pairCount: make([]int, n),
+			},
+			memo:   make(map[[2]int32]pairEntry),
+			next:   make(map[[2]int32]pairEntry),
+			cand:   make([]bool, n),
+			freq:   make([]bool, n),
 			hits:   reg.Counter("detect.incremental_hits"),
 			misses: reg.Counter("detect.incremental_misses"),
 		}
@@ -195,92 +219,167 @@ func ensureIncremental(slot **incrementalState, l *reputation.Ledger, reg *obs.R
 	return st
 }
 
-// refreshCandidates maintains the T_R candidate bitmap — a full screen on
-// the first call, dirty rows only afterwards — and rebuilds the ascending
-// candidate list into the reusable scratch.
-func (st *incrementalState) refreshCandidates(l *reputation.Ledger, tr float64, dirty []int) []int {
+// refresh rescreens the candidate and frequent-row state — every row on
+// the first call, the dirty rows afterwards — and rebuilds the ascending
+// frequent-row list when a row entered or left it.
+func (st *incrementalState) refresh(l *reputation.Ledger, th Thresholds, dirty []int) {
+	changed := false
 	if !st.seeded {
-		st.cand = resizeBools(st.cand, st.n)
 		for i := 0; i < st.n; i++ {
-			st.cand[i] = float64(l.SummationScore(i)) >= tr
+			changed = st.rescreen(l, th, i) || changed
 		}
 		st.seeded = true
 	} else {
 		for _, d := range dirty {
 			if d >= 0 && d < st.n {
-				st.cand[d] = float64(l.SummationScore(d)) >= tr
+				changed = st.rescreen(l, th, d) || changed
 			}
 		}
 	}
-	out := st.buf.candidates[:0]
-	for i, c := range st.cand {
-		if c {
-			out = append(out, i) //colsimlint:ignore hotalloc grows to the high-water candidate count and is resliced to zero every cycle
+	if !changed {
+		return
+	}
+	kept := st.freqRows[:0]
+	for _, r := range st.freqRows {
+		if st.freq[r] {
+			kept = append(kept, r)
 		}
 	}
-	st.buf.candidates = out
-	return out
+	kept = append(kept, st.adds...)
+	//colsimlint:ignore hotalloc slices.Sort is generic over the element type, so nothing is boxed, and it sorts in place
+	slices.Sort(kept)
+	st.freqRows, st.adds = kept, st.adds[:0]
 }
 
-// beginRun normalizes the candidate list into the ascending high list and
-// bitmap and readies an empty Result. With a nil state it allocates fresh
-// storage (the pure Detect/DetectAmong contract); with a state it reuses
-// the scratch buffers.
-func beginRun(st *incrementalState, n int, candidates []int) (res Result, highList []int, high []bool) {
-	if st == nil {
-		//colsimlint:ignore hotalloc the pure Detect/DetectAmong contract returns caller-owned fresh storage; the incremental path below reuses st.buf
-		high = make([]bool, n)
-		highList = make([]int, 0, len(candidates)) //colsimlint:ignore hotalloc fresh storage for the pure contract, as above
-		res = Result{Flagged: make([]bool, n)}     //colsimlint:ignore hotalloc fresh storage for the pure contract, as above
-	} else {
-		st.buf.high = resizeBools(st.buf.high, n)
-		clear(st.buf.high)
-		st.buf.flagged = resizeBools(st.buf.flagged, n)
-		clear(st.buf.flagged)
-		if st.buf.pairSet == nil {
-			st.buf.pairSet = make(map[[2]int]struct{}) //colsimlint:ignore hotalloc lazy once per incremental state; every later cycle clears it in place
+// rescreen re-runs row i's candidate and frequency screens and reports
+// whether the row entered or left the frequent list.
+func (st *incrementalState) rescreen(l *reputation.Ledger, th Thresholds, i int) bool {
+	if c := float64(l.SummationScore(i)) >= th.TR; c != st.cand[i] {
+		st.cand[i] = c
+		if c {
+			st.m++
 		} else {
-			clear(st.buf.pairSet)
+			st.m--
 		}
-		high = st.buf.high
-		highList = st.buf.highList[:0]
-		res = Result{Flagged: st.buf.flagged, Pairs: st.buf.pairs[:0], pairSet: st.buf.pairSet}
 	}
+	f := frequentRow(l.PairCountsOf(i).Total, th.TN)
+	if f == st.freq[i] {
+		return false
+	}
+	st.freq[i] = f
+	if f {
+		st.adds = append(st.adds, int32(i)) //colsimlint:ignore hotalloc grows to the high-water count of rows turning frequent in one pass; reset to zero length after every rebuild
+	}
+	return true
+}
+
+// frequentRow reports whether a row's pair totals hold one of at least tn.
+func frequentRow(totals []int32, tn int) bool {
+	for _, t := range totals {
+		if int(t) >= tn {
+			return true
+		}
+	}
+	return false
+}
+
+// beginPass readies the untraced pass's Result in the reusable scratch,
+// unflagging the nodes of the previous pass's pairs.
+func (st *incrementalState) beginPass() *Result {
+	res := &st.buf.res
+	for _, e := range res.Pairs {
+		res.Flagged[e.I] = false
+		res.Flagged[e.J] = false
+	}
+	clear(res.pairSet)
+	res.Pairs = res.Pairs[:0]
+	return res
+}
+
+// endPass sorts the pass's pairs and swaps in the memo of the pairs this
+// pass examined.
+func (st *incrementalState) endPass(res *Result) Result {
+	res.sortPairs()
+	st.memo, st.next = st.next, st.memo
+	clear(st.next)
+	return *res
+}
+
+// pairScreener is the detector-specific screen screenFrequent runs on a
+// pair (i, j), with N_(i,j) and N+_(i,j) read off i's adjacency: it
+// records a detection in res and returns the gate label and the charges
+// the screen accrued, charging nothing itself.
+type pairScreener interface {
+	screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges)
+}
+
+// screenFrequent is the untraced incremental pass's only pair loop. It
+// visits the high rows of the frequent list and, on each row i, the high
+// raters x > i with N_(i,x) >= T_N: exactly the pairs a full pass screens
+// past its frequency gate, in the same ascending order. A pair whose two
+// rows are unchanged since its memoized screen replays it; any other is
+// screened fresh. It returns the summed charges and the number of pairs
+// examined; the caller charges the meter.
+//
+//colsim:hotpath
+func (st *incrementalState) screenFrequent(l *reputation.Ledger, tn int, res *Result, det pairScreener) (sum pairCharges, pairs int64) {
+	for _, i32 := range st.freqRows {
+		i := int(i32)
+		if !st.cand[i] {
+			continue
+		}
+		genI := l.RowGen(i)
+		pc := l.PairCountsOf(i)
+		for k, x32 := range pc.Raters {
+			x := int(x32)
+			nij := int(pc.Total[k])
+			if x <= i || nij < tn || !st.cand[x] {
+				continue
+			}
+			pairs++
+			key := [2]int32{i32, x32}
+			e, ok := st.memo[key]
+			if ok && e.genI == genI && e.genJ == l.RowGen(x) {
+				st.hits.Add(1)
+				if e.flagged {
+					res.addPair(l, i, x)
+				}
+			} else {
+				st.misses.Add(1)
+				gate, ch := det.screenPair(l, i, x, nij, int(pc.Pos[k]), res)
+				e = pairEntry{genI: genI, genJ: l.RowGen(x), charges: ch, flagged: gate == obs.GateFlagged}
+			}
+			st.next[key] = e
+			sum.scan += e.charges.scan
+			sum.bound += e.charges.bound
+		}
+	}
+	return sum, pairs
+}
+
+// denseVisits is the number of matrix elements the dense row scans of m
+// candidates visit: row number idx (0-based, ascending) skips the idx
+// high pairs already checked from earlier rows, so the rows charge
+// (n-1) + (n-2) + ... + (n-m) = m(n-1) - m(m-1)/2.
+func denseVisits(n, m int64) int64 { return m*(n-1) - m*(m-1)/2 }
+
+// beginRun normalizes the candidate list into the ascending high list and
+// bitmap and readies an empty Result, all in fresh caller-owned storage:
+// the pure Detect/DetectAmong contract.
+func beginRun(n int, candidates []int) (res Result, highList []int, high []bool) {
+	high = make([]bool, n)
 	for _, c := range candidates {
 		if c >= 0 && c < n {
 			high[c] = true
 		}
 	}
-	for i := 0; i < n; i++ {
-		if high[i] {
+	highList = make([]int, 0, len(candidates))
+	for i, h := range high {
+		if h {
 			highList = append(highList, i)
 		}
 	}
-	if st != nil {
-		st.buf.highList = highList
-	}
-	return res, highList, high
-}
-
-// endRun hands grown storage back to the scratch for the next cycle.
-func endRun(st *incrementalState, res *Result) {
-	if st != nil {
-		st.buf.pairs = res.Pairs
-	}
-}
-
-func resizeBools(xs []bool, n int) []bool {
-	if cap(xs) < n {
-		return make([]bool, n) //colsimlint:ignore hotalloc grows only when the population grows; steady-state cycles reslice the retained capacity
-	}
-	return xs[:n]
-}
-
-func resizeInts(xs []int, n int) []int {
-	if cap(xs) < n {
-		return make([]int, n) //colsimlint:ignore hotalloc grows only when the population grows; steady-state cycles reslice the retained capacity
-	}
-	return xs[:n]
+	return Result{Flagged: make([]bool, n)}, highList, high
 }
 
 // Basic is the unoptimized detection method of Section IV-B. For each
@@ -324,10 +423,10 @@ func (b *Basic) Name() string { return "unoptimized" }
 func (b *Basic) Detect(l *reputation.Ledger) Result {
 	auditCandidates(b.Trace, b.Name(), l, b.Thresholds.TR)
 	if !b.Spans.Enabled() {
-		return b.detectAmong(l, summationCandidates(l, b.Thresholds.TR), nil)
+		return b.detectFull(l)
 	}
 	b.Spans.Begin("detect")
-	res := b.detectAmong(l, summationCandidates(l, b.Thresholds.TR), nil)
+	res := b.detectFull(l)
 	b.Spans.End("detect",
 		obs.Str("detector", b.Name()),
 		obs.Int("pairs", len(res.Pairs)))
@@ -336,7 +435,7 @@ func (b *Basic) Detect(l *reputation.Ledger) Result {
 
 // DetectAmong implements Detector.
 func (b *Basic) DetectAmong(l *reputation.Ledger, candidates []int) Result {
-	return b.detectAmong(l, candidates, nil)
+	return b.detectAmong(l, candidates)
 }
 
 // DetectIncremental implements IncrementalDetector.
@@ -348,7 +447,7 @@ func (b *Basic) DetectIncremental(l *reputation.Ledger, dirty []int) Result {
 	if b.Spans.Enabled() {
 		return b.detectSpanned(l, dirty, st)
 	}
-	return b.detectAmong(l, st.refreshCandidates(l, b.Thresholds.TR, dirty), st)
+	return b.detectIncremental(l, dirty, st)
 }
 
 // detectSpanned brackets one incremental pass in a "detect" span. The
@@ -359,7 +458,7 @@ func (b *Basic) DetectIncremental(l *reputation.Ledger, dirty []int) Result {
 func (b *Basic) detectSpanned(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
 	h0, m0 := st.hits.Value(), st.misses.Value()
 	b.Spans.Begin("detect")
-	res := b.detectAmong(l, st.refreshCandidates(l, b.Thresholds.TR, dirty), st)
+	res := b.detectIncremental(l, dirty, st)
 	b.Spans.End("detect",
 		obs.Str("detector", b.Name()),
 		obs.Int("dirty", len(dirty)),
@@ -369,7 +468,41 @@ func (b *Basic) detectSpanned(l *reputation.Ledger, dirty []int, st *incremental
 	return res
 }
 
-// detectAmong is the shared detection pass.
+// detectIncremental is one incremental pass. Untraced, it screens only
+// the frequent high pairs (screenFrequent) and charges the dense visit
+// counts in closed form: the m candidates' row scans (denseVisits, once
+// as pair checks and once as element reads) and one O(n) outside re-scan
+// for each of the m(m-1)/2 high pairs it did not examine, which a full
+// pass pays in screenPair's first line before the frequency gate stops
+// it. Traced, it runs the full audit walk without the memo.
+//
+//colsim:hotpath
+func (b *Basic) detectIncremental(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
+	st.refresh(l, b.Thresholds, dirty)
+	if b.Trace.Enabled() {
+		return b.detectFull(l)
+	}
+	res := st.beginPass()
+	sum, examined := st.screenFrequent(l, b.Thresholds.TN, res, b)
+	if st.m > 0 {
+		n, m := int64(l.Size()), int64(st.m)
+		visits := denseVisits(n, m)
+		b.charge(metrics.CostPairCheck, visits)
+		b.charge(metrics.CostMatrixScan, visits+sum.scan+n*(m*(m-1)/2-examined))
+	}
+	associationSweep(l, b.Thresholds, res, b.Meter, metrics.CostPairCheck, b.Trace, b.Name(), st)
+	return st.endPass(res)
+}
+
+// detectFull is the full pass over the summation candidates: Detect's
+// pass, and the traced incremental pass, which leaves the memo untouched.
+//
+//colsim:coldpath the incremental pass reaches it only with audit tracing on, whose candidate and pair audits already cost O(n) per pass
+func (b *Basic) detectFull(l *reputation.Ledger) Result {
+	return b.detectAmong(l, summationCandidates(l, b.Thresholds.TR))
+}
+
+// detectAmong is the full detection pass behind Detect and DetectAmong.
 //
 // The paper's method scans every element of each high-reputed node's
 // matrix row. Two facts let the implementation skip the dense walk while
@@ -387,17 +520,11 @@ func (b *Basic) detectSpanned(l *reputation.Ledger, dirty []int, st *incremental
 //     outside re-scan, so only partners on i's adjacency need real work;
 //     the rest are charged one O(n) re-scan each, in bulk.
 //
-// A non-nil st replays memoized screens for pairs whose rows are both
-// unchanged: the cached gate implies the cached charges and detection
-// outcome, and re-adding a cached flagged pair recomputes the identical
-// Evidence because it reads only the two unchanged rows. When tracing is
-// enabled the cache is bypassed (read and write) so every high pair is
-// re-examined and audited in the exact order of a full pass.
-//
-//colsim:hotpath
-func (b *Basic) detectAmong(l *reputation.Ledger, candidates []int, st *incrementalState) Result {
+// When tracing is enabled every high pair is examined and audited in
+// ascending order.
+func (b *Basic) detectAmong(l *reputation.Ledger, candidates []int) Result {
 	n := l.Size()
-	res, highList, high := beginRun(st, n, candidates)
+	res, highList, high := beginRun(n, candidates)
 	tracing := b.Trace.Enabled()
 
 	for idx, i := range highList {
@@ -421,7 +548,7 @@ func (b *Basic) detectAmong(l *reputation.Ledger, candidates []int, st *incremen
 				if k < len(pc.Raters) && int(pc.Raters[k]) == j {
 					nij, posij = int(pc.Total[k]), int(pc.Pos[k])
 				}
-				gate, ch := b.examinePair(l, i, j, nij, posij, &res)
+				gate, ch := b.screenPair(l, i, j, nij, posij, &res)
 				b.charge(metrics.CostMatrixScan, ch.scan)
 				b.Trace.PairAudit(pairAuditFor(l, b.Name(), i, j, gate))
 			}
@@ -433,55 +560,31 @@ func (b *Basic) detectAmong(l *reputation.Ledger, candidates []int, st *incremen
 		// outside re-scan, charged in bulk below.
 		highAfter := len(highList) - idx - 1
 		examined := 0
-		var genI uint64
-		if st != nil {
-			genI = l.RowGen(i)
-		}
 		for k, x32 := range pc.Raters {
 			x := int(x32)
 			if x <= i || !high[x] {
 				continue
 			}
 			examined++
-			if st != nil {
-				key := [2]int32{int32(i), x32}
-				if e, ok := st.cache[key]; ok && e.genI == genI && e.genJ == l.RowGen(x) {
-					st.hits.Add(1)
-					b.charge(metrics.CostMatrixScan, e.charges.scan)
-					if e.flagged {
-						res.addPair(l, i, x)
-					}
-					continue
-				}
-				st.misses.Add(1)
-				gate, ch := b.examinePair(l, i, x, int(pc.Total[k]), int(pc.Pos[k]), &res)
-				b.charge(metrics.CostMatrixScan, ch.scan)
-				st.cache[key] = pairEntry{
-					genI: genI, genJ: l.RowGen(x),
-					charges: ch, flagged: gate == obs.GateFlagged,
-				}
-				continue
-			}
-			_, ch := b.examinePair(l, i, x, int(pc.Total[k]), int(pc.Pos[k]), &res)
+			_, ch := b.screenPair(l, i, x, int(pc.Total[k]), int(pc.Pos[k]), &res)
 			b.charge(metrics.CostMatrixScan, ch.scan)
 		}
 		b.charge(metrics.CostMatrixScan, int64(highAfter-examined)*int64(n))
 	}
 
-	associationSweep(l, b.Thresholds, &res, b.Meter, metrics.CostPairCheck, b.Trace, b.Name(), st)
+	associationSweep(l, b.Thresholds, &res, b.Meter, metrics.CostPairCheck, b.Trace, b.Name(), nil)
 	res.sortPairs()
-	endRun(st, &res)
 	return res
 }
 
-// examinePair runs the §IV-B threshold cascade on one high pair, with
+// screenPair runs the §IV-B threshold cascade on one high pair, with
 // N_(i,j) and N+_(i,j) read off i's adjacency by the caller. It performs
 // no meter charges itself: the dense-scan costs it accrues — the
 // unconditional outside re-scan, the reverse matrix element, and the
 // conditional outside re-scans — are returned for the caller to apply,
 // fresh or replayed from the incremental cache. The charge sequence is
 // identical to the dense reference implementation.
-func (b *Basic) examinePair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges) {
+func (b *Basic) screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges) {
 	var ch pairCharges
 	n := int64(l.Size())
 	// C2 on n_i: the outside positive share. The unoptimized method pays
@@ -589,10 +692,10 @@ func (o *Optimized) Name() string { return "optimized" }
 func (o *Optimized) Detect(l *reputation.Ledger) Result {
 	auditCandidates(o.Trace, o.Name(), l, o.Thresholds.TR)
 	if !o.Spans.Enabled() {
-		return o.detectAmong(l, summationCandidates(l, o.Thresholds.TR), nil)
+		return o.detectFull(l)
 	}
 	o.Spans.Begin("detect")
-	res := o.detectAmong(l, summationCandidates(l, o.Thresholds.TR), nil)
+	res := o.detectFull(l)
 	o.Spans.End("detect",
 		obs.Str("detector", o.Name()),
 		obs.Int("pairs", len(res.Pairs)))
@@ -601,7 +704,7 @@ func (o *Optimized) Detect(l *reputation.Ledger) Result {
 
 // DetectAmong implements Detector.
 func (o *Optimized) DetectAmong(l *reputation.Ledger, candidates []int) Result {
-	return o.detectAmong(l, candidates, nil)
+	return o.detectAmong(l, candidates)
 }
 
 // DetectIncremental implements IncrementalDetector.
@@ -613,7 +716,7 @@ func (o *Optimized) DetectIncremental(l *reputation.Ledger, dirty []int) Result 
 	if o.Spans.Enabled() {
 		return o.detectSpanned(l, dirty, st)
 	}
-	return o.detectAmong(l, st.refreshCandidates(l, o.Thresholds.TR, dirty), st)
+	return o.detectIncremental(l, dirty, st)
 }
 
 // detectSpanned brackets one incremental pass in a "detect" span, exactly
@@ -623,7 +726,7 @@ func (o *Optimized) DetectIncremental(l *reputation.Ledger, dirty []int) Result 
 func (o *Optimized) detectSpanned(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
 	h0, m0 := st.hits.Value(), st.misses.Value()
 	o.Spans.Begin("detect")
-	res := o.detectAmong(l, st.refreshCandidates(l, o.Thresholds.TR, dirty), st)
+	res := o.detectIncremental(l, dirty, st)
 	o.Spans.End("detect",
 		obs.Str("detector", o.Name()),
 		obs.Int("dirty", len(dirty)),
@@ -633,26 +736,55 @@ func (o *Optimized) detectSpanned(l *reputation.Ledger, dirty []int, st *increme
 	return res
 }
 
-// detectAmong is the shared detection pass, with the same dense-scan
-// accounting scheme as Basic.detectAmong: non-high column visits are
-// charged arithmetically and only unordered high pairs are examined, each
-// once, in ascending row order. Pairs failing the frequency gate charge
-// nothing, so the fast path walks only i's adjacency; memoization and the
-// tracing bypass follow the same rules as Basic.
+// detectIncremental is one incremental pass, as on Basic: untraced, it
+// screens only the frequent high pairs and charges the m candidates' pair
+// checks in closed form; traced, it runs the full audit walk. A full pass
+// registers the bound-check counter whenever a pair gets past the forward
+// frequency gate, even at zero cost, so this pass does too.
 //
 //colsim:hotpath
-func (o *Optimized) detectAmong(l *reputation.Ledger, candidates []int, st *incrementalState) Result {
+func (o *Optimized) detectIncremental(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
+	st.refresh(l, o.Thresholds, dirty)
+	if o.Trace.Enabled() {
+		return o.detectFull(l)
+	}
+	res := st.beginPass()
+	sum, examined := st.screenFrequent(l, o.Thresholds.TN, res, o)
+	if st.m > 0 {
+		o.charge(metrics.CostPairCheck, denseVisits(int64(l.Size()), int64(st.m)))
+	}
+	if examined > 0 {
+		o.charge(metrics.CostBoundCheck, sum.bound)
+	}
+	associationSweep(l, o.Thresholds, res, o.Meter, metrics.CostPairCheck, o.Trace, o.Name(), st)
+	return st.endPass(res)
+}
+
+// detectFull is the full pass over the summation candidates, as on Basic.
+//
+//colsim:coldpath the incremental pass reaches it only with audit tracing on, whose candidate and pair audits already cost O(n) per pass
+func (o *Optimized) detectFull(l *reputation.Ledger) Result {
+	return o.detectAmong(l, summationCandidates(l, o.Thresholds.TR))
+}
+
+// detectAmong is the full detection pass behind Detect and DetectAmong,
+// with the same dense-scan accounting scheme as Basic.detectAmong:
+// non-high column visits are charged arithmetically and only unordered
+// high pairs are examined, each once, in ascending row order. Pairs
+// failing the frequency gate charge nothing, so the untraced path walks
+// only i's adjacency.
+func (o *Optimized) detectAmong(l *reputation.Ledger, candidates []int) Result {
 	n := l.Size()
-	res, highList, high := beginRun(st, n, candidates)
+	res, highList, high := beginRun(n, candidates)
 	tracing := o.Trace.Enabled()
 
 	for idx, i := range highList {
-		ri := float64(l.SummationScore(i))
-		ni := l.TotalFor(i)
 		o.charge(metrics.CostPairCheck, int64(n-1-idx))
 		pc := l.PairCountsOf(i)
 
 		if tracing {
+			ri := float64(l.SummationScore(i))
+			ni := l.TotalFor(i)
 			k := 0
 			for _, j := range highList[idx+1:] {
 				for k < len(pc.Raters) && int(pc.Raters[k]) < j {
@@ -679,10 +811,6 @@ func (o *Optimized) detectAmong(l *reputation.Ledger, candidates []int, st *incr
 
 		// Fast path: a pair with N_(i,j) = 0 fails the frequency gate with
 		// no charge and no audit, so only i's adjacency needs visiting.
-		var genI uint64
-		if st != nil {
-			genI = l.RowGen(i)
-		}
 		for k, x32 := range pc.Raters {
 			x := int(x32)
 			if x <= i || !high[x] {
@@ -692,45 +820,25 @@ func (o *Optimized) detectAmong(l *reputation.Ledger, candidates []int, st *incr
 			if nij < o.Thresholds.TN {
 				continue
 			}
-			if st != nil {
-				key := [2]int32{int32(i), x32}
-				if e, ok := st.cache[key]; ok && e.genI == genI && e.genJ == l.RowGen(x) {
-					st.hits.Add(1)
-					o.charge(metrics.CostBoundCheck, e.charges.bound)
-					if e.flagged {
-						res.addPair(l, i, x)
-					}
-					continue
-				}
-				st.misses.Add(1)
-				gate, ch := o.screenReverse(l, i, x, ri, ni, nij, int(pc.Pos[k]), &res)
-				o.charge(metrics.CostBoundCheck, ch.bound)
-				st.cache[key] = pairEntry{
-					genI: genI, genJ: l.RowGen(x),
-					charges: ch, flagged: gate == obs.GateFlagged,
-				}
-				continue
-			}
-			_, ch := o.screenReverse(l, i, x, ri, ni, nij, int(pc.Pos[k]), &res)
+			_, ch := o.screenPair(l, i, x, nij, int(pc.Pos[k]), &res)
 			o.charge(metrics.CostBoundCheck, ch.bound)
 		}
 	}
 
-	associationSweep(l, o.Thresholds, &res, o.Meter, metrics.CostPairCheck, o.Trace, o.Name(), st)
+	associationSweep(l, o.Thresholds, &res, o.Meter, metrics.CostPairCheck, o.Trace, o.Name(), nil)
 	res.sortPairs()
-	endRun(st, &res)
 	return res
 }
 
-// screenReverse reads the reverse matrix element and finishes the
-// frequency gate before running the full cascade; split out so the fast
-// path and the cache share one call shape.
-func (o *Optimized) screenReverse(l *reputation.Ledger, i, j int, ri float64, ni, nij, posij int, res *Result) (string, pairCharges) {
+// screenPair reads the reverse matrix element and finishes the
+// frequency gate before running the full cascade; split out so the full
+// and incremental passes share one pairScreener.
+func (o *Optimized) screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges) {
 	nji := l.PairTotal(j, i)
 	if nji < o.Thresholds.TN {
 		return obs.GateTN, pairCharges{}
 	}
-	return o.examinePair(l, i, j, ri, ni, nij, posij, nji, res)
+	return o.examinePair(l, i, j, float64(l.SummationScore(i)), l.TotalFor(i), nij, posij, nji, res)
 }
 
 // auditPair emits one pair_audit event with the Formula (2) intervals
@@ -812,7 +920,10 @@ func (o *Optimized) charge(name string, n int64) {
 // The sweep always runs in full — flags propagate transitively, so one
 // dirty row can extend chains through unchanged ones — but its inputs at
 // equal flag sets are identical, which keeps the incremental path's
-// charges and audits byte-identical to a full pass.
+// charges and audits byte-identical to a full pass. Its work is
+// O(flagged): every flagged node belongs to a pair, so the queue starts
+// from the pairs' nodes, and with a state the scratch marks it leaves are
+// reset over that queue instead of cleared in O(n).
 func associationSweep(l *reputation.Ledger, th Thresholds, res *Result, meter *metrics.CostMeter, cost string, tr *obs.Tracer, det string, st *incrementalState) {
 	if th.StrictReverse {
 		return
@@ -823,32 +934,27 @@ func associationSweep(l *reputation.Ledger, th Thresholds, res *Result, meter *m
 	var pairCount []int
 	if st != nil {
 		queue = st.buf.queue[:0]
-		st.buf.inQueue = resizeBools(st.buf.inQueue, n)
-		clear(st.buf.inQueue)
-		inQueue = st.buf.inQueue
-		st.buf.pairCount = resizeInts(st.buf.pairCount, n)
-		clear(st.buf.pairCount)
-		pairCount = st.buf.pairCount
+		inQueue, pairCount = st.buf.inQueue, st.buf.pairCount
 	} else {
 		//colsimlint:ignore hotalloc fresh scratch for the pure Detect/DetectAmong contract; the incremental branch above reuses st.buf
 		inQueue = make([]bool, n)
 		pairCount = make([]int, n) //colsimlint:ignore hotalloc fresh scratch for the pure contract, as above
 	}
-	for i, f := range res.Flagged {
-		if f {
-			queue = append(queue, i)
-			inQueue[i] = true
+	for _, e := range res.Pairs {
+		for _, v := range [2]int{e.I, e.J} {
+			pairCount[v]++
+			if !inQueue[v] {
+				inQueue[v] = true
+				queue = append(queue, v)
+			}
 		}
 	}
-	for _, e := range res.Pairs {
-		pairCount[e.I]++
-		pairCount[e.J]++
-	}
+	//colsimlint:ignore hotalloc slices.Sort is generic over the element type, so nothing is boxed, and it sorts in place
+	slices.Sort(queue)
+	var visits int64
 	for head := 0; head < len(queue); head++ {
 		c := queue[head]
-		if meter != nil {
-			meter.Add(cost, int64(n-1-pairCount[c]))
-		}
+		visits += int64(n - 1 - pairCount[c])
 		pc := l.PairCountsOf(c)
 		for k, x32 := range pc.Raters {
 			x := int(x32)
@@ -869,7 +975,14 @@ func associationSweep(l *reputation.Ledger, th Thresholds, res *Result, meter *m
 			}
 		}
 	}
+	if meter != nil && len(queue) > 0 {
+		meter.Add(cost, visits)
+	}
 	if st != nil {
+		for _, c := range queue {
+			inQueue[c] = false
+			pairCount[c] = 0
+		}
 		st.buf.queue = queue
 	}
 }
@@ -947,8 +1060,8 @@ func max2(a, b int) int {
 
 // summationCandidates returns nodes whose summation reputation reaches tr
 // — the full T_R screen the pure Detect contract runs every call. The
-// incremental path maintains the same set through
-// incrementalState.refreshCandidates instead, rescreening dirty rows only.
+// incremental path maintains the same set as the incrementalState.cand
+// bitmap instead, rescreening dirty rows only.
 func summationCandidates(l *reputation.Ledger, tr float64) []int {
 	var out []int
 	for i := 0; i < l.Size(); i++ {

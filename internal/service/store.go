@@ -104,8 +104,8 @@ type Store struct {
 	closeOnce sync.Once
 	done      chan struct{}
 
-	mBatches, mRatings, mRecycled *obs.Counter
-	gEpoch                        *obs.Gauge
+	mBatches, mRatings, mRecycled, mAllocated *obs.Counter
+	gEpoch                                    *obs.Gauge
 }
 
 type command struct {
@@ -158,14 +158,15 @@ func New(cfg Config) (*Store, error) {
 			Spans:        cfg.Spans,
 			CycleTimer:   cfg.CycleTimer,
 		}),
-		free:      make(chan *Snapshot, pool),
-		cmds:      make(chan command),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		mBatches:  cfg.Obs.Counter("service.batches_total"),
-		mRatings:  cfg.Obs.Counter("service.ratings_total"),
-		mRecycled: cfg.Obs.Counter("service.snapshots_recycled"),
-		gEpoch:    cfg.Obs.Gauge("service.epoch"),
+		free:       make(chan *Snapshot, pool),
+		cmds:       make(chan command),
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
+		mBatches:   cfg.Obs.Counter("service.batches_total"),
+		mRatings:   cfg.Obs.Counter("service.ratings_total"),
+		mRecycled:  cfg.Obs.Counter("service.snapshots_recycled"),
+		mAllocated: cfg.Obs.Counter("service.snapshots_allocated"),
+		gEpoch:     cfg.Obs.Gauge("service.epoch"),
 	}
 	s.publish() // epoch 0: empty ledger, zero scores, nothing flagged
 	go s.run()
@@ -323,12 +324,15 @@ func (s *Store) publish() {
 	}
 }
 
-// takeFree pops a recycled snapshot or allocates a fresh one.
+// takeFree pops a recycled snapshot or allocates a fresh one, counting
+// the allocation: a publish finds the pool empty only while it fills and
+// when readers still pin every older snapshot.
 func (s *Store) takeFree() *Snapshot {
 	select {
 	case sn := <-s.free:
 		return sn
 	default:
+		s.mAllocated.Add(1)
 		return &Snapshot{store: s}
 	}
 }

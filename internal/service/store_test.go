@@ -8,6 +8,7 @@ import (
 
 	"github.com/p2psim/collusion/internal/core"
 	"github.com/p2psim/collusion/internal/ingest"
+	"github.com/p2psim/collusion/internal/obs"
 	"github.com/p2psim/collusion/internal/reputation"
 	"github.com/p2psim/collusion/internal/rng"
 )
@@ -266,6 +267,44 @@ func TestSnapshotRecycling(t *testing.T) {
 	}
 	if s.mRecycled.Value() == 0 && s.cfg.Obs != nil {
 		t.Fatal("no snapshots recycled")
+	}
+}
+
+// TestSnapshotAllocationsCounted pins service.snapshots_allocated, the
+// publishes that found the recycle pool empty. Without readers it stays
+// at the ring fill of 2 (the epoch-0 snapshot and the first displaced
+// one); while a reader pins every snapshot, each publish after the pool's
+// one spare is used allocates one more.
+func TestSnapshotAllocationsCounted(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	s := testStore(t, 16, Config{SnapshotPool: 2, Obs: reg})
+	allocated := reg.Counter("service.snapshots_allocated")
+	r := rng.New(17).Child("allocations")
+	var batch []ingest.Rating
+	apply := func() {
+		t.Helper()
+		batch = randomBatch(r, 16, 30, batch)
+		if _, err := s.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := 1; e <= 10; e++ {
+		apply()
+		if got := allocated.Value(); got != 2 {
+			t.Fatalf("epoch %d without readers: %d snapshots allocated, want 2", e, got)
+		}
+	}
+	pinned := []*Snapshot{s.Acquire()}
+	apply() // refilled from the pool's spare
+	for e := 1; e <= 10; e++ {
+		pinned = append(pinned, s.Acquire())
+		apply()
+		if got := allocated.Value(); got != int64(2+e) {
+			t.Fatalf("pinned epoch %d: %d snapshots allocated, want %d", e, got, 2+e)
+		}
+	}
+	for _, sn := range pinned {
+		sn.Release()
 	}
 }
 
