@@ -100,11 +100,11 @@ type Detector interface {
 type IncrementalDetector interface {
 	Detector
 	// DetectIncremental behaves exactly like Detect — identical pairs,
-	// identical meter charges, identical audit events — but examines only
-	// the pairs whose rating count reaches T_N, charges the dense visits of
-	// all others in closed form, and memoizes each examined pair's screen
-	// outcome, replaying it while neither node's received-rating row has
-	// changed. Memo validity is keyed on the
+	// identical meter charges, identical audit events, traced or not — but
+	// keeps its candidate and frequent-row screens across calls,
+	// rescreening only the dirty rows, and memoizes each examined pair's
+	// screen outcome, replaying it while neither node's received-rating
+	// row has changed. Memo validity is keyed on the
 	// ledger's per-target row generations (Ledger.RowGen), so the ledger
 	// may mutate in place between calls — a windowed merge, a Subtract of
 	// an expiring period — without resetting the detector's state. dirty
@@ -119,8 +119,8 @@ type IncrementalDetector interface {
 }
 
 // pairCharges is the metered cost one pair examination accrues beyond the
-// caller's bulk row accounting. Captured explicitly so the incremental
-// cache can replay the exact charges without re-screening.
+// pass's bulk row accounting. Captured explicitly so the memo can replay
+// the exact charges without re-screening.
 type pairCharges struct {
 	scan  int64 // metrics.CostMatrixScan (Basic's outside re-scans + element reads)
 	bound int64 // metrics.CostBoundCheck (Optimized's Formula (2) evaluations)
@@ -138,13 +138,11 @@ type pairEntry struct {
 	flagged    bool
 }
 
-// runBuffers is the per-detection scratch an incremental detector reuses
-// across cycles, so steady-state passes allocate nothing. res is the
-// untraced pass's Result, kept here so its storage persists and so the
-// pair screens can take its address without moving it to the heap.
-// Between passes res.Flagged, inQueue and pairCount are all-false/zero
-// except where the last pass's pairs and sweep queue left marks, and each
-// pass resets exactly those, so no pass pays an O(n) clear.
+// runBuffers is a pass's scratch. res is the pass's Result, kept here so
+// an incremental detector's storage persists across passes. Between passes
+// res.Flagged, inQueue and pairCount are all-false/zero except where the
+// last pass's pairs and sweep queue left marks, and each pass resets
+// exactly those, so no pass pays an O(n) clear.
 type runBuffers struct {
 	res       Result
 	queue     []int
@@ -152,21 +150,33 @@ type runBuffers struct {
 	pairCount []int
 }
 
-// incrementalState is one detector's memoization across DetectIncremental
-// calls: the maintained candidate and frequent-row screens, the pair
-// screen memo (validated against the ledger's row generations), the
-// telemetry counters, and the reusable scratch buffers.
-type incrementalState struct {
+// newRunBuffers returns empty scratch for a population of n.
+func newRunBuffers(n int) runBuffers {
+	return runBuffers{
+		res:       Result{Flagged: make([]bool, n)},
+		inQueue:   make([]bool, n),
+		pairCount: make([]int, n),
+	}
+}
+
+// detectState is what a detection pass runs on: the candidate and
+// frequent-row screens, the pair screen memo (validated against the
+// ledger's row generations), the telemetry counters, and the scratch
+// buffers. DetectIncremental keeps one across calls (ensureIncremental);
+// Detect and DetectAmong run on a fresh one with no memo (pureState).
+type detectState struct {
 	ledger *reputation.Ledger
 	n      int
 	buf    runBuffers
 
-	// memo holds the screens of the pairs the last untraced pass examined;
-	// the running pass writes every pair it examines, replayed or fresh,
-	// into next, and the two swap at its end. A pair can enter or leave the
+	// memo holds the screens of the pairs the last pass examined; the
+	// running pass writes every pair it examines, replayed or fresh, into
+	// next, and the two swap at its end. A pair can enter or leave the
 	// examined set only when one of its two rows changes, which already
 	// invalidates its entry, so dropping the pairs a pass did not examine
 	// loses no hit and bounds the memo by the live frequent-pair count.
+	// Both are nil in a pure pass's state, which then screens every pair
+	// fresh.
 	memo, next map[[2]int32]pairEntry
 
 	// cand[i] memoizes the T_R candidate screen, SummationScore(i) >= TR,
@@ -182,9 +192,10 @@ type incrementalState struct {
 	seeded     bool
 
 	// hits/misses are the detect.incremental_hits / _misses registry
-	// counters (nil without a registry): one hit per memoized pair screen
-	// replayed, one miss per pair screened fresh. Resolved once per attach,
-	// cached here to keep the per-pair path map-free.
+	// counters (nil without a registry, and in a pure pass's state): one
+	// hit per memoized pair screen replayed, one miss per pair screened
+	// fresh. Resolved once per attach, cached here to keep the per-pair
+	// path map-free.
 	hits, misses *obs.Counter
 }
 
@@ -195,18 +206,14 @@ type incrementalState struct {
 // against the ledger's row generations instead.
 //
 //colsim:coldpath allocates a fresh state only when the ledger identity or population changes; steady-state calls return the cached pointer
-func ensureIncremental(slot **incrementalState, l *reputation.Ledger, reg *obs.Registry) *incrementalState {
+func ensureIncremental(slot **detectState, l *reputation.Ledger, reg *obs.Registry) *detectState {
 	st := *slot
 	if st == nil || st.ledger != l || st.n != l.Size() {
 		n := l.Size()
-		st = &incrementalState{
+		st = &detectState{
 			ledger: l,
 			n:      n,
-			buf: runBuffers{
-				res:       Result{Flagged: make([]bool, n), pairSet: make(map[[2]int]struct{})},
-				inQueue:   make([]bool, n),
-				pairCount: make([]int, n),
-			},
+			buf:    newRunBuffers(n),
 			memo:   make(map[[2]int32]pairEntry),
 			next:   make(map[[2]int32]pairEntry),
 			cand:   make([]bool, n),
@@ -219,10 +226,29 @@ func ensureIncremental(slot **incrementalState, l *reputation.Ledger, reg *obs.R
 	return st
 }
 
+// pureState returns a fresh state for one pure pass over the candidates
+// cand marks, already seeded: their count and the ascending list of their
+// rows that hold a frequent rater. It has no memo and no counters, so the
+// pass screens every frequent pair fresh and records no memo telemetry,
+// and the Result it returns is the caller's.
+func pureState(l *reputation.Ledger, tn int, cand []bool) *detectState {
+	st := &detectState{n: len(cand), buf: newRunBuffers(len(cand)), cand: cand, seeded: true}
+	for i, c := range cand {
+		if !c {
+			continue
+		}
+		st.m++
+		if frequentRow(l.PairCountsOf(i).Total, tn) {
+			st.freqRows = append(st.freqRows, int32(i))
+		}
+	}
+	return st
+}
+
 // refresh rescreens the candidate and frequent-row state — every row on
 // the first call, the dirty rows afterwards — and rebuilds the ascending
 // frequent-row list when a row entered or left it.
-func (st *incrementalState) refresh(l *reputation.Ledger, th Thresholds, dirty []int) {
+func (st *detectState) refresh(l *reputation.Ledger, th Thresholds, dirty []int) {
 	changed := false
 	if !st.seeded {
 		for i := 0; i < st.n; i++ {
@@ -253,7 +279,7 @@ func (st *incrementalState) refresh(l *reputation.Ledger, th Thresholds, dirty [
 
 // rescreen re-runs row i's candidate and frequency screens and reports
 // whether the row entered or left the frequent list.
-func (st *incrementalState) rescreen(l *reputation.Ledger, th Thresholds, i int) bool {
+func (st *detectState) rescreen(l *reputation.Ledger, th Thresholds, i int) bool {
 	if c := float64(l.SummationScore(i)) >= th.TR; c != st.cand[i] {
 		st.cand[i] = c
 		if c {
@@ -283,9 +309,9 @@ func frequentRow(totals []int32, tn int) bool {
 	return false
 }
 
-// beginPass readies the untraced pass's Result in the reusable scratch,
-// unflagging the nodes of the previous pass's pairs.
-func (st *incrementalState) beginPass() *Result {
+// beginPass readies the pass's Result in the state's scratch, unflagging
+// the nodes of the previous pass's pairs.
+func (st *detectState) beginPass() *Result {
 	res := &st.buf.res
 	for _, e := range res.Pairs {
 		res.Flagged[e.I] = false
@@ -298,31 +324,24 @@ func (st *incrementalState) beginPass() *Result {
 
 // endPass sorts the pass's pairs and swaps in the memo of the pairs this
 // pass examined.
-func (st *incrementalState) endPass(res *Result) Result {
+func (st *detectState) endPass(res *Result) Result {
 	res.sortPairs()
 	st.memo, st.next = st.next, st.memo
 	clear(st.next)
 	return *res
 }
 
-// pairScreener is the detector-specific screen screenFrequent runs on a
-// pair (i, j), with N_(i,j) and N+_(i,j) read off i's adjacency: it
-// records a detection in res and returns the gate label and the charges
-// the screen accrued, charging nothing itself.
-type pairScreener interface {
-	screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges)
-}
-
-// screenFrequent is the untraced incremental pass's only pair loop. It
+// screenFrequent is the only loop that screens pairs, in every pass. It
 // visits the high rows of the frequent list and, on each row i, the high
-// raters x > i with N_(i,x) >= T_N: exactly the pairs a full pass screens
-// past its frequency gate, in the same ascending order. A pair whose two
-// rows are unchanged since its memoized screen replays it; any other is
-// screened fresh. It returns the summed charges and the number of pairs
-// examined; the caller charges the meter.
+// raters x > i with N_(i,x) >= T_N: the only high pairs whose screen can
+// get past the frequency gate, in ascending order. A pair whose two rows
+// are unchanged since its memoized screen replays it; any other is
+// screened fresh. It records each flagged pair in res and returns the
+// summed charges and the number of pairs examined; the caller charges the
+// meter.
 //
 //colsim:hotpath
-func (st *incrementalState) screenFrequent(l *reputation.Ledger, tn int, res *Result, det pairScreener) (sum pairCharges, pairs int64) {
+func (st *detectState) screenFrequent(l *reputation.Ledger, tn int, res *Result, r pairRule) (sum pairCharges, pairs int64) {
 	for _, i32 := range st.freqRows {
 		i := int(i32)
 		if !st.cand[i] {
@@ -341,15 +360,17 @@ func (st *incrementalState) screenFrequent(l *reputation.Ledger, tn int, res *Re
 			e, ok := st.memo[key]
 			if ok && e.genI == genI && e.genJ == l.RowGen(x) {
 				st.hits.Add(1)
-				if e.flagged {
-					res.addPair(l, i, x)
-				}
 			} else {
 				st.misses.Add(1)
-				gate, ch := det.screenPair(l, i, x, nij, int(pc.Pos[k]), res)
+				gate, ch := r.screenPair(l, i, x, nij, int(pc.Pos[k]))
 				e = pairEntry{genI: genI, genJ: l.RowGen(x), charges: ch, flagged: gate == obs.GateFlagged}
 			}
-			st.next[key] = e
+			if e.flagged {
+				res.addPair(l, i, x)
+			}
+			if st.next != nil {
+				st.next[key] = e
+			}
 			sum.scan += e.charges.scan
 			sum.bound += e.charges.bound
 		}
@@ -363,55 +384,206 @@ func (st *incrementalState) screenFrequent(l *reputation.Ledger, tn int, res *Re
 // (n-1) + (n-2) + ... + (n-m) = m(n-1) - m(m-1)/2.
 func denseVisits(n, m int64) int64 { return m*(n-1) - m*(m-1)/2 }
 
-// beginRun normalizes the candidate list into the ascending high list and
-// bitmap and readies an empty Result, all in fresh caller-owned storage:
-// the pure Detect/DetectAmong contract.
-func beginRun(n int, candidates []int) (res Result, highList []int, high []bool) {
-	high = make([]bool, n)
-	for _, c := range candidates {
-		if c >= 0 && c < n {
-			high[c] = true
-		}
-	}
-	highList = make([]int, 0, len(candidates))
-	for i, h := range high {
-		if h {
-			highList = append(highList, i)
-		}
-	}
-	return Result{Flagged: make([]bool, n)}, highList, high
+// pairRule is what sets the two detection methods apart: the per-pair
+// threshold cascade, the counters a pass charges for it, and the
+// pair_audit record. Basic and Optimized implement it; the pass around it
+// is detector's.
+type pairRule interface {
+	Name() string
+	// screenPair runs the cascade on the high pair (i, j), with N_(i,j)
+	// and N+_(i,j) read off i's adjacency, and returns the gate it stops
+	// at and the charges it accrues. It records no pair and charges
+	// nothing, so a pass can replay it from the memo and the audit loop
+	// can re-derive any pair's gate.
+	screenPair(l *reputation.Ledger, i, j, nij, posij int) (string, pairCharges)
+	// chargePass charges the method's own counters for a pass over m
+	// candidates of a population of n that examined `examined` pairs,
+	// whose screens accrued sum.
+	chargePass(n, m, examined int64, sum pairCharges)
+	// auditPair assembles the pair_audit record of (i, j) stopped at gate.
+	auditPair(l *reputation.Ledger, i, j int, gate string) obs.PairAudit
 }
 
-// Basic is the unoptimized detection method of Section IV-B. For each
-// high-reputed node it walks the node's matrix row; for each frequent,
-// highly positive rater it re-scans the row to compute the outside
-// positive share, then performs the symmetric examination of the rater's
-// own row. Work is charged to the meter per matrix element visited,
-// making the O(mn²) complexity of Proposition 4.1 measurable.
-type Basic struct {
+// detector is the one implementation behind Basic and Optimized, which
+// are both declared as this type and differ only in their pairRule.
+//
+// The paper's methods scan every element of each high-reputed node's
+// matrix row. Three facts let a pass skip the dense walk while charging
+// the meter the paper's exact element-visit counts (so Figure 13 is
+// unchanged and the dense-reference property test stays exact):
+//
+//   - Non-high elements are screened out with no further work, so their
+//     visits can be charged arithmetically (denseVisits).
+//   - Only unordered high pairs are examined, and each exactly once, so
+//     iterating high partners j > i in ascending order replaces both the
+//     column walk and the n×n checked bitset.
+//   - A high pair with N_(i,j) < T_N stops at the frequency gate, having
+//     cost the same fixed amount (Basic's unconditional O(n) outside
+//     re-scan, nothing for Optimized), so only the frequent high pairs
+//     need real work (screenFrequent) and the rest are charged in bulk.
+type detector struct {
+	// Thresholds are the detection parameters T_R, T_N, T_a and T_b.
 	Thresholds Thresholds
-	// Meter, if non-nil, accumulates metrics.CostMatrixScan and
-	// metrics.CostPairCheck.
+	// Meter, if non-nil, accumulates metrics.CostPairCheck and the
+	// method's own counter: Basic's metrics.CostMatrixScan, Optimized's
+	// metrics.CostBoundCheck.
 	Meter *metrics.CostMeter
-	// Trace, if enabled, receives a pair_audit event per examined high
-	// pair recording which threshold gate it stopped at. Disabled tracing
-	// adds no work and no allocations to the hot path.
+	// Trace, if enabled, receives a pair_audit event per high pair
+	// recording which threshold gate it stopped at, emitted once the pass
+	// has run exactly as it runs untraced. Detect and DetectIncremental
+	// also emit a candidate_audit event per node. Disabled tracing adds no
+	// work and no allocations to the hot path.
 	Trace *obs.Tracer
 	// Obs, if non-nil, receives the detect.incremental_hits/_misses
 	// counter pair: how many memoized pair screens DetectIncremental
 	// replayed versus re-ran. Telemetry only — never part of the metered
 	// operation costs the equivalence tests compare.
 	Obs *obs.Registry
-	// Spans, if enabled, brackets every detection pass in a "detect" span
-	// carrying the dirty-row count, detected-pair count and memo hit/miss
-	// deltas — all deterministic, worker-count-invariant quantities. Spans ride their own tracer, separate from Trace, so
-	// span collection never flips the detector onto the memo-bypassing
-	// audit path. Disabled spans add no work and no allocations (pinned
-	// by TestTelemetryOffAddsNoAllocs).
+	// Spans, if enabled, brackets every Detect and DetectIncremental pass
+	// in a "detect" span carrying the detected-pair count and, for
+	// DetectIncremental, the dirty-row count and memo hit/miss deltas — all
+	// deterministic, worker-count-invariant quantities. Disabled spans add no work and no
+	// allocations (pinned by TestTelemetryOffAddsNoAllocs).
 	Spans *obs.SpanTracer
 
-	inc *incrementalState
+	inc *detectState
 }
+
+// detect is Detect: a pure pass over the nodes passing the T_R screen.
+func (d *detector) detect(r pairRule, l *reputation.Ledger) Result {
+	auditCandidates(d.Trace, r.Name(), l, d.Thresholds.TR)
+	cand := make([]bool, l.Size())
+	for i := range cand {
+		cand[i] = float64(l.SummationScore(i)) >= d.Thresholds.TR
+	}
+	return d.run(r, l, pureState(l, d.Thresholds.TN, cand), nil)
+}
+
+// detectAmong is DetectAmong: a pure pass over the given candidates,
+// ignoring duplicate and out-of-range entries.
+func (d *detector) detectAmong(r pairRule, l *reputation.Ledger, candidates []int) Result {
+	cand := make([]bool, l.Size())
+	for _, c := range candidates {
+		if c >= 0 && c < len(cand) {
+			cand[c] = true
+		}
+	}
+	return d.pass(r, l, pureState(l, d.Thresholds.TN, cand), nil)
+}
+
+// detectIncremental is DetectIncremental: a pass over the state the
+// detector keeps across calls.
+//
+//colsim:hotpath
+func (d *detector) detectIncremental(r pairRule, l *reputation.Ledger, dirty []int) Result {
+	st := ensureIncremental(&d.inc, l, d.Obs)
+	auditCandidates(d.Trace, r.Name(), l, d.Thresholds.TR)
+	return d.run(r, l, st, dirty)
+}
+
+// run is one pass, bracketed in a "detect" span when spans are on.
+//
+//colsim:hotpath
+func (d *detector) run(r pairRule, l *reputation.Ledger, st *detectState, dirty []int) Result {
+	if d.Spans.Enabled() {
+		return d.spanned(r, l, st, dirty)
+	}
+	return d.pass(r, l, st, dirty)
+}
+
+// spanned brackets one pass in a "detect" span. A pass over a kept state
+// adds the dirty-row count and the memo hit/miss deltas, read off the
+// registry counters (zero without a registry).
+//
+//colsim:coldpath span bracketing runs only when a span tracer is attached
+func (d *detector) spanned(r pairRule, l *reputation.Ledger, st *detectState, dirty []int) Result {
+	h0, m0 := st.hits.Value(), st.misses.Value()
+	d.Spans.Begin("detect")
+	res := d.pass(r, l, st, dirty)
+	if st.next == nil { // a pure pass: no dirty set, no memo
+		d.Spans.End("detect",
+			obs.Str("detector", r.Name()),
+			obs.Int("pairs", len(res.Pairs)))
+		return res
+	}
+	d.Spans.End("detect",
+		obs.Str("detector", r.Name()),
+		obs.Int("dirty", len(dirty)),
+		obs.Int("pairs", len(res.Pairs)),
+		obs.I64("memo_hits", st.hits.Value()-h0),
+		obs.I64("memo_misses", st.misses.Value()-m0))
+	return res
+}
+
+// pass is the detection pass behind every entry point. It rescreens the
+// dirty rows of a kept state, screens the frequent high pairs, charges
+// the m candidates' dense row scans in closed form (denseVisits, as pair
+// checks) beside the method's own counters, audits every high pair when
+// tracing, and closes the detected set under partnership.
+//
+//colsim:hotpath
+func (d *detector) pass(r pairRule, l *reputation.Ledger, st *detectState, dirty []int) Result {
+	st.refresh(l, d.Thresholds, dirty)
+	res := st.beginPass()
+	sum, examined := st.screenFrequent(l, d.Thresholds.TN, res, r)
+	n, m := int64(l.Size()), int64(st.m)
+	if m > 0 {
+		d.charge(metrics.CostPairCheck, denseVisits(n, m))
+	}
+	r.chargePass(n, m, examined, sum)
+	if d.Trace.Enabled() {
+		d.auditPairs(r, l, st.cand)
+	}
+	d.associationSweep(l, r.Name(), st)
+	return st.endPass(res)
+}
+
+// auditPairs emits one pair_audit event per high pair in ascending (i, j)
+// order, reading N_(i,j) by merging i's adjacency along the high list and
+// re-deriving the gate from the side-effect-free screen: an examined
+// pair's gate is the one the pass acted on, and every other high pair
+// stops at the frequency gate. It charges nothing and records no pair.
+//
+//colsim:coldpath runs only with audit tracing on, whose candidate and pair audits already cost O(n + m²) per pass
+func (d *detector) auditPairs(r pairRule, l *reputation.Ledger, cand []bool) {
+	var high []int
+	for i, c := range cand {
+		if c {
+			high = append(high, i)
+		}
+	}
+	for idx, i := range high {
+		pc := l.PairCountsOf(i)
+		k := 0
+		for _, j := range high[idx+1:] {
+			for k < len(pc.Raters) && int(pc.Raters[k]) < j {
+				k++
+			}
+			nij, posij := 0, 0
+			if k < len(pc.Raters) && int(pc.Raters[k]) == j {
+				nij, posij = int(pc.Total[k]), int(pc.Pos[k])
+			}
+			gate, _ := r.screenPair(l, i, j, nij, posij)
+			d.Trace.PairAudit(r.auditPair(l, i, j, gate))
+		}
+	}
+}
+
+func (d *detector) charge(name string, n int64) {
+	if d.Meter != nil {
+		d.Meter.Add(name, n)
+	}
+}
+
+// Basic is the unoptimized detection method of Section IV-B. For each
+// high-reputed node it walks the node's matrix row; for each frequent,
+// highly positive rater it re-scans the row to compute the outside
+// positive share, then performs the symmetric examination of the rater's
+// own row. Work is charged to the meter per matrix element visited
+// (metrics.CostMatrixScan), making the O(mn²) complexity of Proposition
+// 4.1 measurable. Its fields are detector's: Thresholds, Meter, Trace,
+// Obs and Spans.
+type Basic detector
 
 // NewBasic returns a basic detector with the given thresholds.
 func NewBasic(t Thresholds) *Basic { return &Basic{Thresholds: t} }
@@ -420,171 +592,27 @@ func NewBasic(t Thresholds) *Basic { return &Basic{Thresholds: t} }
 func (b *Basic) Name() string { return "unoptimized" }
 
 // Detect implements Detector.
-func (b *Basic) Detect(l *reputation.Ledger) Result {
-	auditCandidates(b.Trace, b.Name(), l, b.Thresholds.TR)
-	if !b.Spans.Enabled() {
-		return b.detectFull(l)
-	}
-	b.Spans.Begin("detect")
-	res := b.detectFull(l)
-	b.Spans.End("detect",
-		obs.Str("detector", b.Name()),
-		obs.Int("pairs", len(res.Pairs)))
-	return res
-}
+func (b *Basic) Detect(l *reputation.Ledger) Result { return (*detector)(b).detect(b, l) }
 
 // DetectAmong implements Detector.
 func (b *Basic) DetectAmong(l *reputation.Ledger, candidates []int) Result {
-	return b.detectAmong(l, candidates)
+	return (*detector)(b).detectAmong(b, l, candidates)
 }
 
 // DetectIncremental implements IncrementalDetector.
 //
 //colsim:hotpath
 func (b *Basic) DetectIncremental(l *reputation.Ledger, dirty []int) Result {
-	st := ensureIncremental(&b.inc, l, b.Obs)
-	auditCandidates(b.Trace, b.Name(), l, b.Thresholds.TR)
-	if b.Spans.Enabled() {
-		return b.detectSpanned(l, dirty, st)
-	}
-	return b.detectIncremental(l, dirty, st)
+	return (*detector)(b).detectIncremental(b, l, dirty)
 }
 
-// detectSpanned brackets one incremental pass in a "detect" span. The
-// memo hit/miss deltas come from the registry counters (zero without a
-// registry, and zero when audit tracing bypasses the memo).
-//
-//colsim:coldpath span bracketing runs only when a span tracer is attached
-func (b *Basic) detectSpanned(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
-	h0, m0 := st.hits.Value(), st.misses.Value()
-	b.Spans.Begin("detect")
-	res := b.detectIncremental(l, dirty, st)
-	b.Spans.End("detect",
-		obs.Str("detector", b.Name()),
-		obs.Int("dirty", len(dirty)),
-		obs.Int("pairs", len(res.Pairs)),
-		obs.I64("memo_hits", st.hits.Value()-h0),
-		obs.I64("memo_misses", st.misses.Value()-m0))
-	return res
-}
-
-// detectIncremental is one incremental pass. Untraced, it screens only
-// the frequent high pairs (screenFrequent) and charges the dense visit
-// counts in closed form: the m candidates' row scans (denseVisits, once
-// as pair checks and once as element reads) and one O(n) outside re-scan
-// for each of the m(m-1)/2 high pairs it did not examine, which a full
-// pass pays in screenPair's first line before the frequency gate stops
-// it. Traced, it runs the full audit walk without the memo.
-//
-//colsim:hotpath
-func (b *Basic) detectIncremental(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
-	st.refresh(l, b.Thresholds, dirty)
-	if b.Trace.Enabled() {
-		return b.detectFull(l)
-	}
-	res := st.beginPass()
-	sum, examined := st.screenFrequent(l, b.Thresholds.TN, res, b)
-	if st.m > 0 {
-		n, m := int64(l.Size()), int64(st.m)
-		visits := denseVisits(n, m)
-		b.charge(metrics.CostPairCheck, visits)
-		b.charge(metrics.CostMatrixScan, visits+sum.scan+n*(m*(m-1)/2-examined))
-	}
-	associationSweep(l, b.Thresholds, res, b.Meter, metrics.CostPairCheck, b.Trace, b.Name(), st)
-	return st.endPass(res)
-}
-
-// detectFull is the full pass over the summation candidates: Detect's
-// pass, and the traced incremental pass, which leaves the memo untouched.
-//
-//colsim:coldpath the incremental pass reaches it only with audit tracing on, whose candidate and pair audits already cost O(n) per pass
-func (b *Basic) detectFull(l *reputation.Ledger) Result {
-	return b.detectAmong(l, summationCandidates(l, b.Thresholds.TR))
-}
-
-// detectAmong is the full detection pass behind Detect and DetectAmong.
-//
-// The paper's method scans every element of each high-reputed node's
-// matrix row. Two facts let the implementation skip the dense walk while
-// charging the meter the paper's exact element-visit counts (so Figure 13
-// is unchanged and the dense-reference property test stays exact):
-//
-//   - Non-high elements are screened out with no further work, so their
-//     visits can be charged arithmetically: at row i, the dense scan
-//     touches the n-1 other columns minus the high pairs {j, i} with
-//     j < i already marked checked from row j.
-//   - Only unordered high pairs are examined, and each exactly once, so
-//     iterating high partners j > i in ascending order replaces both the
-//     column walk and the n×n checked bitset. High partners with
-//     N_(i,j) = 0 stop at the frequency gate after the unconditional
-//     outside re-scan, so only partners on i's adjacency need real work;
-//     the rest are charged one O(n) re-scan each, in bulk.
-//
-// When tracing is enabled every high pair is examined and audited in
-// ascending order.
-func (b *Basic) detectAmong(l *reputation.Ledger, candidates []int) Result {
-	n := l.Size()
-	res, highList, high := beginRun(n, candidates)
-	tracing := b.Trace.Enabled()
-
-	for idx, i := range highList {
-		// Dense row-scan accounting: every element a_ij except the idx
-		// already-checked high pairs from earlier rows.
-		visited := int64(n - 1 - idx)
-		b.charge(metrics.CostPairCheck, visited)
-		b.charge(metrics.CostMatrixScan, visited)
-		pc := l.PairCountsOf(i)
-
-		if tracing {
-			// Audit path: every high partner j > i is screened and audited
-			// in ascending order, reading N_(i,j) by merging i's adjacency
-			// along the high list.
-			k := 0
-			for _, j := range highList[idx+1:] {
-				for k < len(pc.Raters) && int(pc.Raters[k]) < j {
-					k++
-				}
-				nij, posij := 0, 0
-				if k < len(pc.Raters) && int(pc.Raters[k]) == j {
-					nij, posij = int(pc.Total[k]), int(pc.Pos[k])
-				}
-				gate, ch := b.screenPair(l, i, j, nij, posij, &res)
-				b.charge(metrics.CostMatrixScan, ch.scan)
-				b.Trace.PairAudit(pairAuditFor(l, b.Name(), i, j, gate))
-			}
-			continue
-		}
-
-		// Fast path: only high partners on i's adjacency can get past the
-		// frequency gate; each zero pair still pays the unconditional O(n)
-		// outside re-scan, charged in bulk below.
-		highAfter := len(highList) - idx - 1
-		examined := 0
-		for k, x32 := range pc.Raters {
-			x := int(x32)
-			if x <= i || !high[x] {
-				continue
-			}
-			examined++
-			_, ch := b.screenPair(l, i, x, int(pc.Total[k]), int(pc.Pos[k]), &res)
-			b.charge(metrics.CostMatrixScan, ch.scan)
-		}
-		b.charge(metrics.CostMatrixScan, int64(highAfter-examined)*int64(n))
-	}
-
-	associationSweep(l, b.Thresholds, &res, b.Meter, metrics.CostPairCheck, b.Trace, b.Name(), nil)
-	res.sortPairs()
-	return res
-}
-
-// screenPair runs the §IV-B threshold cascade on one high pair, with
-// N_(i,j) and N+_(i,j) read off i's adjacency by the caller. It performs
-// no meter charges itself: the dense-scan costs it accrues — the
+// screenPair runs the §IV-B threshold cascade on one high pair. It
+// performs no meter charges itself: the dense-scan costs it accrues — the
 // unconditional outside re-scan, the reverse matrix element, and the
-// conditional outside re-scans — are returned for the caller to apply,
-// fresh or replayed from the incremental cache. The charge sequence is
-// identical to the dense reference implementation.
-func (b *Basic) screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges) {
+// conditional outside re-scans — are returned for the pass to apply,
+// fresh or replayed from the memo. The charge sequence is identical to
+// the dense reference implementation.
+func (b *Basic) screenPair(l *reputation.Ledger, i, j, nij, posij int) (string, pairCharges) {
 	var ch pairCharges
 	n := int64(l.Size())
 	// C2 on n_i: the outside positive share. The unoptimized method pays
@@ -621,21 +649,34 @@ func (b *Basic) screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Resu
 	if b.Thresholds.StrictReverse {
 		ch.scan += n
 		if outsideLow(b.Thresholds.Tb, l.TotalFor(j)-nji, l.PositiveFor(j)-posji) {
-			res.addPair(l, i, j)
 			return obs.GateFlagged, ch
 		}
 		return obs.GateTBReverse, ch
 	}
 	if outI {
-		res.addPair(l, i, j)
 		return obs.GateFlagged, ch
 	}
 	ch.scan += n
 	if outsideLow(b.Thresholds.Tb, l.TotalFor(j)-nji, l.PositiveFor(j)-posji) {
-		res.addPair(l, i, j)
 		return obs.GateFlagged, ch
 	}
 	return obs.GateTBOutside, ch
+}
+
+// chargePass charges the element reads of the m candidates' row scans,
+// the examined pairs' re-scans (sum.scan), and one O(n) outside re-scan
+// for each of the m(m-1)/2 high pairs the pass did not examine, which
+// the dense method pays in screenPair's first line before the frequency
+// gate stops it.
+func (b *Basic) chargePass(n, m, examined int64, sum pairCharges) {
+	if m > 0 {
+		(*detector)(b).charge(metrics.CostMatrixScan, denseVisits(n, m)+sum.scan+n*(m*(m-1)/2-examined))
+	}
+}
+
+// auditPair implements pairRule.
+func (b *Basic) auditPair(l *reputation.Ledger, i, j int, gate string) obs.PairAudit {
+	return pairAuditFor(l, b.Name(), i, j, gate)
 }
 
 // outsideLow reports whether b — the positive share of every rating the
@@ -652,35 +693,14 @@ func outsideLow(tb float64, othersTotal, othersPos int) bool {
 	return float64(othersPos)/float64(othersTotal) < tb
 }
 
-func (b *Basic) charge(name string, n int64) {
-	if b.Meter != nil {
-		b.Meter.Add(name, n)
-	}
-}
-
 // Optimized is the detection method of Section IV-C: instead of re-scanning
 // a row to compute the outside share b, it checks whether the node's
 // summation reputation lies inside the Formula (2) interval, which needs
-// only R_i, N_i and N_(i,j). Work is charged per bound evaluation, making
-// the O(mn) complexity of Proposition 4.2 measurable.
-type Optimized struct {
-	Thresholds Thresholds
-	// Meter, if non-nil, accumulates metrics.CostBoundCheck and
-	// metrics.CostPairCheck.
-	Meter *metrics.CostMeter
-	// Trace, if enabled, receives a pair_audit event per examined high
-	// pair, including the Formula (2) interval each side was checked
-	// against. Disabled tracing adds no work and no allocations.
-	Trace *obs.Tracer
-	// Obs, if non-nil, receives the detect.incremental_hits/_misses
-	// counter pair, exactly as on Basic.
-	Obs *obs.Registry
-	// Spans, if enabled, brackets every detection pass in a "detect" span,
-	// exactly as on Basic.
-	Spans *obs.SpanTracer
-
-	inc *incrementalState
-}
+// only R_i, N_i and N_(i,j). Work is charged per bound evaluation
+// (metrics.CostBoundCheck), making the O(mn) complexity of Proposition
+// 4.2 measurable, and its pair audits carry the Formula (2) interval each
+// side was checked against. Its fields are detector's, as on Basic.
+type Optimized detector
 
 // NewOptimized returns an optimized detector with the given thresholds.
 func NewOptimized(t Thresholds) *Optimized { return &Optimized{Thresholds: t} }
@@ -689,179 +709,32 @@ func NewOptimized(t Thresholds) *Optimized { return &Optimized{Thresholds: t} }
 func (o *Optimized) Name() string { return "optimized" }
 
 // Detect implements Detector.
-func (o *Optimized) Detect(l *reputation.Ledger) Result {
-	auditCandidates(o.Trace, o.Name(), l, o.Thresholds.TR)
-	if !o.Spans.Enabled() {
-		return o.detectFull(l)
-	}
-	o.Spans.Begin("detect")
-	res := o.detectFull(l)
-	o.Spans.End("detect",
-		obs.Str("detector", o.Name()),
-		obs.Int("pairs", len(res.Pairs)))
-	return res
-}
+func (o *Optimized) Detect(l *reputation.Ledger) Result { return (*detector)(o).detect(o, l) }
 
 // DetectAmong implements Detector.
 func (o *Optimized) DetectAmong(l *reputation.Ledger, candidates []int) Result {
-	return o.detectAmong(l, candidates)
+	return (*detector)(o).detectAmong(o, l, candidates)
 }
 
 // DetectIncremental implements IncrementalDetector.
 //
 //colsim:hotpath
 func (o *Optimized) DetectIncremental(l *reputation.Ledger, dirty []int) Result {
-	st := ensureIncremental(&o.inc, l, o.Obs)
-	auditCandidates(o.Trace, o.Name(), l, o.Thresholds.TR)
-	if o.Spans.Enabled() {
-		return o.detectSpanned(l, dirty, st)
-	}
-	return o.detectIncremental(l, dirty, st)
+	return (*detector)(o).detectIncremental(o, l, dirty)
 }
 
-// detectSpanned brackets one incremental pass in a "detect" span, exactly
-// as on Basic.
-//
-//colsim:coldpath span bracketing runs only when a span tracer is attached
-func (o *Optimized) detectSpanned(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
-	h0, m0 := st.hits.Value(), st.misses.Value()
-	o.Spans.Begin("detect")
-	res := o.detectIncremental(l, dirty, st)
-	o.Spans.End("detect",
-		obs.Str("detector", o.Name()),
-		obs.Int("dirty", len(dirty)),
-		obs.Int("pairs", len(res.Pairs)),
-		obs.I64("memo_hits", st.hits.Value()-h0),
-		obs.I64("memo_misses", st.misses.Value()-m0))
-	return res
-}
-
-// detectIncremental is one incremental pass, as on Basic: untraced, it
-// screens only the frequent high pairs and charges the m candidates' pair
-// checks in closed form; traced, it runs the full audit walk. A full pass
-// registers the bound-check counter whenever a pair gets past the forward
-// frequency gate, even at zero cost, so this pass does too.
-//
-//colsim:hotpath
-func (o *Optimized) detectIncremental(l *reputation.Ledger, dirty []int, st *incrementalState) Result {
-	st.refresh(l, o.Thresholds, dirty)
-	if o.Trace.Enabled() {
-		return o.detectFull(l)
-	}
-	res := st.beginPass()
-	sum, examined := st.screenFrequent(l, o.Thresholds.TN, res, o)
-	if st.m > 0 {
-		o.charge(metrics.CostPairCheck, denseVisits(int64(l.Size()), int64(st.m)))
-	}
-	if examined > 0 {
-		o.charge(metrics.CostBoundCheck, sum.bound)
-	}
-	associationSweep(l, o.Thresholds, res, o.Meter, metrics.CostPairCheck, o.Trace, o.Name(), st)
-	return st.endPass(res)
-}
-
-// detectFull is the full pass over the summation candidates, as on Basic.
-//
-//colsim:coldpath the incremental pass reaches it only with audit tracing on, whose candidate and pair audits already cost O(n) per pass
-func (o *Optimized) detectFull(l *reputation.Ledger) Result {
-	return o.detectAmong(l, summationCandidates(l, o.Thresholds.TR))
-}
-
-// detectAmong is the full detection pass behind Detect and DetectAmong,
-// with the same dense-scan accounting scheme as Basic.detectAmong:
-// non-high column visits are charged arithmetically and only unordered
-// high pairs are examined, each once, in ascending row order. Pairs
-// failing the frequency gate charge nothing, so the untraced path walks
-// only i's adjacency.
-func (o *Optimized) detectAmong(l *reputation.Ledger, candidates []int) Result {
-	n := l.Size()
-	res, highList, high := beginRun(n, candidates)
-	tracing := o.Trace.Enabled()
-
-	for idx, i := range highList {
-		o.charge(metrics.CostPairCheck, int64(n-1-idx))
-		pc := l.PairCountsOf(i)
-
-		if tracing {
-			ri := float64(l.SummationScore(i))
-			ni := l.TotalFor(i)
-			k := 0
-			for _, j := range highList[idx+1:] {
-				for k < len(pc.Raters) && int(pc.Raters[k]) < j {
-					k++
-				}
-				nij, posij := 0, 0
-				if k < len(pc.Raters) && int(pc.Raters[k]) == j {
-					nij, posij = int(pc.Total[k]), int(pc.Pos[k])
-				}
-				// The frequency gate rejects almost every pair, so it stays
-				// inline; the full cascade runs out of line only for pairs
-				// that survive it.
-				nji := l.PairTotal(j, i)
-				if nij < o.Thresholds.TN || nji < o.Thresholds.TN {
-					o.auditPair(l, i, j, obs.GateTN)
-					continue
-				}
-				gate, ch := o.examinePair(l, i, j, ri, ni, nij, posij, nji, &res)
-				o.charge(metrics.CostBoundCheck, ch.bound)
-				o.auditPair(l, i, j, gate)
-			}
-			continue
-		}
-
-		// Fast path: a pair with N_(i,j) = 0 fails the frequency gate with
-		// no charge and no audit, so only i's adjacency needs visiting.
-		for k, x32 := range pc.Raters {
-			x := int(x32)
-			if x <= i || !high[x] {
-				continue
-			}
-			nij := int(pc.Total[k])
-			if nij < o.Thresholds.TN {
-				continue
-			}
-			_, ch := o.screenPair(l, i, x, nij, int(pc.Pos[k]), &res)
-			o.charge(metrics.CostBoundCheck, ch.bound)
-		}
-	}
-
-	associationSweep(l, o.Thresholds, &res, o.Meter, metrics.CostPairCheck, o.Trace, o.Name(), nil)
-	res.sortPairs()
-	return res
-}
-
-// screenPair reads the reverse matrix element and finishes the
-// frequency gate before running the full cascade; split out so the full
-// and incremental passes share one pairScreener.
-func (o *Optimized) screenPair(l *reputation.Ledger, i, j, nij, posij int, res *Result) (string, pairCharges) {
-	nji := l.PairTotal(j, i)
-	if nji < o.Thresholds.TN {
-		return obs.GateTN, pairCharges{}
-	}
-	return o.examinePair(l, i, j, float64(l.SummationScore(i)), l.TotalFor(i), nij, posij, nji, res)
-}
-
-// auditPair emits one pair_audit event with the Formula (2) intervals
-// both sides were (or would have been) checked against.
-//
-//colsim:coldpath reached only from the tracing branch, which disabled tracing never enters
-func (o *Optimized) auditPair(l *reputation.Ledger, i, j int, gate string) {
-	a := pairAuditFor(l, o.Name(), i, j, gate)
-	a.LoI, a.HiI = o.Thresholds.ReputationBounds(a.NI, a.NIJ)
-	a.LoJ, a.HiJ = o.Thresholds.ReputationBounds(a.NJ, a.NJI)
-	o.Trace.PairAudit(a)
-}
-
-// examinePair runs the §IV-C cascade on one high pair that already passed
-// the frequency gate (nij, nji >= TN), records a detection, and returns
-// the audit gate label. It performs no meter charges itself; bound
-// evaluations are counted exactly where the dense reference charged them
-// — always the first, the second only when the rule needs it — and
-// returned for the caller to apply or replay.
-func (o *Optimized) examinePair(l *reputation.Ledger, i, j int, ri float64, ni, nij, posij, nji int, res *Result) (string, pairCharges) {
+// screenPair runs the §IV-C cascade on one high pair. It performs no
+// meter charges itself; bound evaluations are counted exactly where the
+// dense reference charged them — always the first, the second only when
+// the rule needs it — and returned for the pass to apply or replay.
+func (o *Optimized) screenPair(l *reputation.Ledger, i, j, nij, posij int) (string, pairCharges) {
 	var ch pairCharges
-	rj := float64(l.SummationScore(j))
-	nj := l.TotalFor(j)
+	nji := l.PairTotal(j, i)
+	if nij < o.Thresholds.TN || nji < o.Thresholds.TN {
+		return obs.GateTN, ch
+	}
+	ri, ni := float64(l.SummationScore(i)), l.TotalFor(i)
+	rj, nj := float64(l.SummationScore(j)), l.TotalFor(j)
 	if o.Thresholds.StrictReverse {
 		// Literal Section IV-C: Formula (2) must hold on both sides.
 		// Each evaluation needs only R, N and N_(i,j).
@@ -873,7 +746,6 @@ func (o *Optimized) examinePair(l *reputation.Ledger, i, j int, ri float64, ni, 
 		if !o.Thresholds.BoundsHold(rj, nj, nji) {
 			return obs.GateBoundReverse, ch
 		}
-		res.addPair(l, i, j)
 		return obs.GateFlagged, ch
 	}
 	// Default rule: mutual frequent almost-always-positive rating (read
@@ -884,21 +756,31 @@ func (o *Optimized) examinePair(l *reputation.Ledger, i, j int, ri float64, ni, 
 		return obs.GateTA, ch
 	}
 	ch.bound++
-	holdI := o.Thresholds.BoundsHold(ri, ni, nij)
-	if !holdI {
+	if !o.Thresholds.BoundsHold(ri, ni, nij) {
 		ch.bound++
 		if !o.Thresholds.BoundsHold(rj, nj, nji) {
 			return obs.GateBound, ch
 		}
 	}
-	res.addPair(l, i, j)
 	return obs.GateFlagged, ch
 }
 
-func (o *Optimized) charge(name string, n int64) {
-	if o.Meter != nil {
-		o.Meter.Add(name, n)
+// chargePass charges the examined pairs' bound evaluations. The dense
+// method registers the counter, even at zero, as soon as one pair gets
+// past the forward frequency gate, so the pass does too.
+func (o *Optimized) chargePass(_, _, examined int64, sum pairCharges) {
+	if examined > 0 {
+		(*detector)(o).charge(metrics.CostBoundCheck, sum.bound)
 	}
+}
+
+// auditPair implements pairRule, adding the Formula (2) intervals both
+// sides were (or would have been) checked against.
+func (o *Optimized) auditPair(l *reputation.Ledger, i, j int, gate string) obs.PairAudit {
+	a := pairAuditFor(l, o.Name(), i, j, gate)
+	a.LoI, a.HiI = o.Thresholds.ReputationBounds(a.NI, a.NIJ)
+	a.LoJ, a.HiJ = o.Thresholds.ReputationBounds(a.NJ, a.NJI)
+	return a
 }
 
 // associationSweep closes the detected set under colluding partnership:
@@ -922,24 +804,17 @@ func (o *Optimized) charge(name string, n int64) {
 // equal flag sets are identical, which keeps the incremental path's
 // charges and audits byte-identical to a full pass. Its work is
 // O(flagged): every flagged node belongs to a pair, so the queue starts
-// from the pairs' nodes, and with a state the scratch marks it leaves are
-// reset over that queue instead of cleared in O(n).
-func associationSweep(l *reputation.Ledger, th Thresholds, res *Result, meter *metrics.CostMeter, cost string, tr *obs.Tracer, det string, st *incrementalState) {
+// from the pairs' nodes, and the scratch marks it leaves are reset over
+// that queue instead of cleared in O(n).
+func (d *detector) associationSweep(l *reputation.Ledger, det string, st *detectState) {
+	th := d.Thresholds
 	if th.StrictReverse {
 		return
 	}
 	n := l.Size()
-	var queue []int
-	var inQueue []bool
-	var pairCount []int
-	if st != nil {
-		queue = st.buf.queue[:0]
-		inQueue, pairCount = st.buf.inQueue, st.buf.pairCount
-	} else {
-		//colsimlint:ignore hotalloc fresh scratch for the pure Detect/DetectAmong contract; the incremental branch above reuses st.buf
-		inQueue = make([]bool, n)
-		pairCount = make([]int, n) //colsimlint:ignore hotalloc fresh scratch for the pure contract, as above
-	}
+	res := &st.buf.res
+	queue := st.buf.queue[:0]
+	inQueue, pairCount := st.buf.inQueue, st.buf.pairCount
 	for _, e := range res.Pairs {
 		for _, v := range [2]int{e.I, e.J} {
 			pairCount[v]++
@@ -970,21 +845,19 @@ func associationSweep(l *reputation.Ledger, th Thresholds, res *Result, meter *m
 					queue = append(queue, x)
 				}
 			}
-			if tr.Enabled() {
-				tr.PairAudit(pairAuditFor(l, det, min2(c, x), max2(c, x), gate))
+			if d.Trace.Enabled() {
+				d.Trace.PairAudit(pairAuditFor(l, det, min2(c, x), max2(c, x), gate))
 			}
 		}
 	}
-	if meter != nil && len(queue) > 0 {
-		meter.Add(cost, visits)
+	if len(queue) > 0 {
+		d.charge(metrics.CostPairCheck, visits)
 	}
-	if st != nil {
-		for _, c := range queue {
-			inQueue[c] = false
-			pairCount[c] = 0
-		}
-		st.buf.queue = queue
+	for _, c := range queue {
+		inQueue[c] = false
+		pairCount[c] = 0
 	}
+	st.buf.queue = queue
 }
 
 // sweepPartner applies the association screen to one candidate partner of
@@ -1059,9 +932,8 @@ func max2(a, b int) int {
 }
 
 // summationCandidates returns nodes whose summation reputation reaches tr
-// — the full T_R screen the pure Detect contract runs every call. The
-// incremental path maintains the same set as the incrementalState.cand
-// bitmap instead, rescreening dirty rows only.
+// — the T_R screen the group and Sybil detectors search. The pairwise
+// detectors keep the same set as the detectState.cand bitmap.
 func summationCandidates(l *reputation.Ledger, tr float64) []int {
 	var out []int
 	for i := 0; i < l.Size(); i++ {

@@ -36,7 +36,7 @@ func ExplainPair(l *reputation.Ledger, th Thresholds, i, j int) obs.PairAudit {
 }
 
 // explainGate runs the optimized cascade over an assembled audit record,
-// in the exact gate order Optimized.examinePair uses, prefixed with the
+// in the exact gate order Optimized.screenPair uses, prefixed with the
 // T_R candidate screen.
 func explainGate(th Thresholds, a obs.PairAudit) string {
 	if a.RI < th.TR || a.RJ < th.TR {

@@ -200,7 +200,7 @@ func itoa(v int) string {
 }
 
 // incState returns an incremental detector's memoization state.
-func incState(det IncrementalDetector) *incrementalState {
+func incState(det IncrementalDetector) *detectState {
 	switch d := det.(type) {
 	case *Basic:
 		return d.inc

@@ -166,6 +166,7 @@ type suppressions struct {
 func newSuppressions(pkg *Package) *suppressions {
 	s := &suppressions{byLine: make(map[string]map[int][]string)}
 	for _, file := range pkg.Files {
+		var ends map[int]token.Pos // built on the file's first directive
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				if !strings.HasPrefix(c.Text, ignoreDirective) {
@@ -183,15 +184,41 @@ func newSuppressions(pkg *Package) *suppressions {
 					lines = make(map[int][]string)
 					s.byLine[pos.Filename] = lines
 				}
-				// The directive covers its own line (trailing comment)
-				// and the line below it (standalone comment).
-				for _, ln := range []int{pos.Line, pos.Line + 1} {
-					lines[ln] = append(lines[ln], names...)
+				// A trailing directive covers its own line, a standalone
+				// one the line below it.
+				if ends == nil {
+					ends = codeEnds(pkg.Fset, file)
 				}
+				ln := pos.Line
+				if end, ok := ends[ln]; !ok || end > c.Pos() {
+					ln++
+				}
+				lines[ln] = append(lines[ln], names...)
 			}
 		}
 	}
 	return s
+}
+
+// codeEnds maps each line of file that code ends on to the position
+// where its first piece of code ends, so a comment at or after that
+// position trails code.
+func codeEnds(fset *token.FileSet, file *ast.File) map[int]token.Pos {
+	tf := fset.File(file.Pos())
+	ends := make(map[int]token.Pos)
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.Comment, *ast.CommentGroup:
+			return false
+		}
+		if end := n.End(); end.IsValid() {
+			if first, ok := ends[tf.Line(end)]; !ok || end < first {
+				ends[tf.Line(end)] = end
+			}
+		}
+		return true
+	})
+	return ends
 }
 
 func (s *suppressions) suppressed(analyzer string, pos token.Position) bool {

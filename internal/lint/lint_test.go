@@ -390,7 +390,8 @@ func fixtureFileName(p *lint.Package, f *ast.File) string {
 }
 
 // TestSuppressionDirective verifies //colsimlint:ignore silences a finding
-// on its own line and the line below, but nothing else.
+// on its own line when it trails code, or on the line below when it stands
+// alone, but nothing else.
 func TestSuppressionDirective(t *testing.T) {
 	pkg := loadFixture(t, "suppress", "internal/lintfixture/suppress")
 	checkFixture(t, lint.FloatEqAnalyzer, pkg)

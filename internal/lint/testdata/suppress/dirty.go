@@ -12,6 +12,14 @@ func AboveLine(a, b float64) bool {
 	return a == b
 }
 
+// TrailingStaysOnItsLine carries a trailing suppression for its first
+// comparison only, so the unrelated comparison on the next line is still
+// reported.
+func TrailingStaysOnItsLine(a, b float64) bool {
+	same := a == b         //colsimlint:ignore floateq exact tie on copied values, not computed ones
+	return same || a == -b // want "== between floats"
+}
+
 // WrongName suppresses a different analyzer, so the finding survives.
 func WrongName(a, b float64) bool {
 	return a == b //colsimlint:ignore maporder misdirected suppression // want "== between floats"

@@ -131,10 +131,12 @@ func TestIncrementalRunMatchesFullDetection(t *testing.T) {
 }
 
 // TestIncrementalRunTraceMatchesFullDetection extends the equivalence to
-// the audit trail: with tracing enabled the memo cache is bypassed (every
-// high pair is re-examined and audited in full-pass order), so the
+// the audit trail: a traced pass runs exactly as an untraced one, memo
+// included, and then audits every high pair in full-pass order, so the
 // incremental epoch's trace must be byte-identical to the from-scratch
-// epoch's, for Basic and Optimized, cumulative and windowed.
+// epoch's, and its memo counters must equal those of an untraced
+// incremental epoch on the same stream, for Basic and Optimized,
+// cumulative and windowed.
 func TestIncrementalRunTraceMatchesFullDetection(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorBasic, DetectorOptimized} {
 		for _, window := range []int{0, 4} {
@@ -147,6 +149,16 @@ func TestIncrementalRunTraceMatchesFullDetection(t *testing.T) {
 			}
 			if !bytes.Equal(inc.trace.Bytes(), full.trace.Bytes()) {
 				t.Fatalf("%s window %d: incremental trace differs from the from-scratch trace", det, window)
+			}
+			plain, _ := runIncrementalVsFull(t, cfg, false)
+			hits, misses := memoCounters(inc)
+			wantHits, wantMisses := memoCounters(plain)
+			if hits != wantHits || misses != wantMisses {
+				t.Fatalf("%s window %d: traced memo counters hits=%d misses=%d, untraced hits=%d misses=%d",
+					det, window, hits, misses, wantHits, wantMisses)
+			}
+			if misses == 0 {
+				t.Fatalf("%s window %d: traced incremental epoch recorded no memo misses", det, window)
 			}
 		}
 	}
