@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/p2psim/collusion/internal/metrics"
@@ -105,6 +106,17 @@ func collusionWorkload(t *testing.T, mr *ManagerRing, n int) *reputation.Ledger 
 	return l
 }
 
+// TestDecentralizedMatchesCentralized pins the distributed protocol to the
+// centralized detectors. Trial 0 is the planted 24-node workload; then 400
+// random rating streams (n = 8–60, neutral ratings, planted pairs and an
+// a–b–c chain for the association sweep) run on 1, 3 or 7 managers with
+// T_R = 0 on half, random valid thresholds on half and StrictReverse on a
+// fifth. Each stream reaches one ring by Record and a second by
+// RecordLedger; managers then crash one at a time down to one, each crash
+// followed by one more rating, and finally both rings reset and reload the
+// stream. At every step both kinds of ring Detect must report the pairs,
+// evidence and flags Basic/Optimized.Detect report on one ledger holding
+// every rating.
 func TestDecentralizedMatchesCentralized(t *testing.T) {
 	const n = 24
 	for _, kind := range []Kind{KindBasic, KindOptimized} {
@@ -136,6 +148,144 @@ func TestDecentralizedMatchesCentralized(t *testing.T) {
 			t.Fatalf("%v: planted pairs missed: %+v", kind, distributed.Pairs)
 		}
 	}
+
+	r := rng.New(2012).Child("decentralized-equivalence")
+	for trial := 1; trial <= 400; trial++ {
+		n := r.IntRange(8, 60)
+		th := DefaultThresholds()
+		if r.Bool(0.5) {
+			th.TR = float64(r.IntRange(1, 3))
+			th.TN = r.IntRange(1, 25)
+			th.Ta = 0.5 + 0.5*r.Float64()
+			th.Tb = th.Ta * r.Float64()
+		}
+		if r.Bool(0.5) {
+			th.TR = 0
+		}
+		th.StrictReverse = r.Bool(0.2)
+		managers := []int{1, 3, 7}[r.Intn(3)]
+		checkDecentralizedStream(t, r, fmt.Sprintf("trial %d (n=%d, %d managers, %+v)", trial, n, managers, th),
+			n, managers, th, randomRatingStream(r, n))
+	}
+}
+
+// streamRating is one rating of a generated stream.
+type streamRating struct{ rater, target, polarity int }
+
+// randomRatingStream generates a shuffled rating stream over n nodes:
+// organic traffic with negative and neutral ratings, one to four planted
+// mutual floods, and an a–b–c chain that drives the association sweep.
+func randomRatingStream(r *rng.Rand, n int) []streamRating {
+	var s []streamRating
+	add := func(rater, target, polarity int) {
+		s = append(s, streamRating{rater, target, polarity})
+	}
+	for k := 0; k < n*8; k++ {
+		i, j := r.Intn(n), r.Intn(n)
+		if i == j {
+			continue
+		}
+		pol := 1
+		switch u := r.Float64(); {
+		case u < 0.3:
+			pol = -1
+		case u < 0.4:
+			pol = 0
+		}
+		add(i, j, pol)
+	}
+	for p := r.IntRange(1, 4); p > 0; p-- {
+		a, b := r.Intn(n), r.Intn(n)
+		if a == b {
+			continue
+		}
+		for k := r.IntRange(20, 35); k > 0; k-- {
+			add(a, b, 1)
+			add(b, a, 1)
+		}
+	}
+	a, b, c := r.Intn(n), r.Intn(n), r.Intn(n)
+	if a != b && b != c && a != c {
+		for k := 0; k < 25; k++ {
+			add(a, b, 1)
+			add(b, a, 1)
+			add(b, c, 1)
+			add(c, b, 1)
+		}
+	}
+	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	return s
+}
+
+// checkDecentralizedStream feeds one stream to a ring by Record and to a
+// second by RecordLedger, crashes managers down to one (one more rating
+// after each crash), then resets both rings and reloads the stream,
+// comparing both rings' Detect of either kind against the centralized
+// detectors on the same ledger at every step.
+func checkDecentralizedStream(t *testing.T, r *rng.Rand, tag string, n, managers int, th Thresholds, stream []streamRating) {
+	t.Helper()
+	byRecord, err := NewManagerRing(managers, n, th, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLedger, err := NewManagerRing(managers, n, th, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := reputation.NewLedger(n)
+	record := func(mr *ManagerRing, s streamRating) {
+		if err := mr.Record(s.rater, s.target, s.polarity); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+	}
+	load := func() {
+		for _, s := range stream {
+			l.Record(s.rater, s.target, s.polarity)
+			record(byRecord, s)
+		}
+		if err := byLedger.RecordLedger(l); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		basic, optimized := NewBasic(th).Detect(l), NewOptimized(th).Detect(l)
+		for _, mr := range []*ManagerRing{byRecord, byLedger} {
+			where := fmt.Sprintf("%s, %s, %d managers", tag, step, mr.Managers())
+			compareResults(t, where+", basic", mr.Detect(KindBasic), basic)
+			compareResults(t, where+", optimized", mr.Detect(KindOptimized), optimized)
+		}
+	}
+	load()
+	check("loaded")
+
+	names := make([]string, managers)
+	for k := range names {
+		names[k] = fmt.Sprintf("manager-%d", k)
+	}
+	for len(names) > 1 {
+		k := r.Intn(len(names))
+		for _, mr := range []*ManagerRing{byRecord, byLedger} {
+			if err := mr.FailManager(names[k]); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+		}
+		names = append(names[:k], names[k+1:]...)
+		s := streamRating{rater: r.Intn(n), target: r.Intn(n), polarity: r.IntRange(-1, 1)}
+		if s.rater == s.target {
+			s.target = (s.target + 1) % n
+		}
+		l.Record(s.rater, s.target, s.polarity)
+		record(byRecord, s)
+		record(byLedger, s)
+		check("after crash")
+	}
+
+	byRecord.ResetPeriod()
+	byLedger.ResetPeriod()
+	l = reputation.NewLedger(n)
+	load()
+	check("reloaded after reset")
 }
 
 func TestDecentralizedSingleManagerDegeneratesToCentral(t *testing.T) {
