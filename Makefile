@@ -83,14 +83,16 @@ cover:
 
 # Run every fuzz target in the fuzzed packages for a short burst each; the
 # target list is discovered dynamically so new Fuzz* functions are picked
-# up automatically.
+# up automatically. Minimizing a new interesting input is capped at 100
+# runs: Go's default of 60 s stalls a worker for up to a minute, so a short
+# burst would explore only its first few seconds.
 FUZZ_PKGS = ./internal/trace/ ./internal/reputation/ ./internal/service/ ./internal/core/
 fuzz:
 	@set -e; \
 	for pkg in $(FUZZ_PKGS); do \
 		for t in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "==> $$pkg $$t"; \
-			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime=$(FUZZTIME) $$pkg; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x $$pkg; \
 		done; \
 	done
 

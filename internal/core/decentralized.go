@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/p2psim/collusion/internal/dht"
 	"github.com/p2psim/collusion/internal/metrics"
@@ -35,7 +35,9 @@ func (k Kind) String() string {
 // manager contacts that node's manager through the DHT (the paper's
 // Insert(j, msg) step) for the symmetric check; those request/response
 // exchanges are charged to metrics.CostManagerMessage and the underlying
-// routing hops to metrics.CostDHTMessage.
+// routing hops to metrics.CostDHTMessage. The DHT only routes: every
+// manager keeps its rows, and its predecessor's replicas, in ledgers of
+// its own.
 type ManagerRing struct {
 	ring       *dht.Ring
 	managers   map[dht.ID]*manager
@@ -66,43 +68,16 @@ func (mr *ManagerRing) Observe(reg *obs.Registry) {
 	mr.ring.SetHopObserver(reg.Histogram("dht.lookup_hops"))
 }
 
-// manager is one reputation manager: a DHT node plus the matrix rows of
-// the rated nodes it is responsible for, and replica rows mirrored from
-// its predecessor manager for failover.
+// manager is one reputation manager: a DHT node, the rated nodes it is
+// responsible for, and two population-sized ledgers. rows holds the matrix
+// rows of its responsible nodes and nothing else; replicas mirrors the
+// rows of its predecessor manager, so that a crash of the predecessor
+// loses nothing.
 type manager struct {
-	node        *dht.Node
-	responsible []int
-	rows        map[int]*row
-	replicas    map[int]*row
+	node           *dht.Node
+	responsible    []int
+	rows, replicas *reputation.Ledger
 }
-
-// row is one rated node's matrix row: per-rater counts plus receive totals.
-type row struct {
-	total, pos, neg             map[int]int
-	recvTotal, recvPos, recvNeg int
-}
-
-func newRow() *row {
-	return &row{total: map[int]int{}, pos: map[int]int{}, neg: map[int]int{}}
-}
-
-// clone deep-copies a row.
-func (r *row) clone() *row {
-	c := newRow()
-	for k, v := range r.total {
-		c.total[k] = v
-	}
-	for k, v := range r.pos {
-		c.pos[k] = v
-	}
-	for k, v := range r.neg {
-		c.neg[k] = v
-	}
-	c.recvTotal, c.recvPos, c.recvNeg = r.recvTotal, r.recvPos, r.recvNeg
-	return c
-}
-
-func (r *row) summation() int { return r.recvPos - r.recvNeg }
 
 // NewManagerRing builds a ring of numManagers reputation managers over a
 // rated population of the given size. The meter, if non-nil, receives DHT
@@ -141,23 +116,38 @@ func NewManagerRing(numManagers, population int, th Thresholds, meter *metrics.C
 				return nil, err
 			}
 		}
-		mr.managers[node.ID()] = &manager{node: node, rows: map[int]*row{}, replicas: map[int]*row{}}
+		mr.managers[node.ID()] = &manager{
+			node:     node,
+			rows:     reputation.NewLedger(population),
+			replicas: reputation.NewLedger(population),
+		}
 	}
 	space := ring.Space()
 	for i := 0; i < population; i++ {
 		mr.keys[i] = space.HashInt(i)
-		owner, err := ring.Owner(mr.keys[i])
+	}
+	if err := mr.assign(); err != nil {
+		return nil, err
+	}
+	return mr, nil
+}
+
+// assign recomputes which manager is responsible for each rated node from
+// the ring's current ownership.
+func (mr *ManagerRing) assign() error {
+	for _, m := range mr.managers {
+		m.responsible = m.responsible[:0]
+	}
+	for i := 0; i < mr.population; i++ {
+		owner, err := mr.ring.Owner(mr.keys[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m := mr.managers[owner.ID()]
 		m.responsible = append(m.responsible, i)
 		mr.ownerOf[i] = m
 	}
-	for _, m := range mr.managers {
-		sort.Ints(m.responsible)
-	}
-	return mr, nil
+	return nil
 }
 
 // Managers returns the number of reputation managers on the ring.
@@ -189,37 +179,20 @@ func (mr *ManagerRing) Record(rater, target, polarity int) error {
 	if err != nil {
 		return err
 	}
-	m := mr.managers[owner.ID()]
-	applyRating(rowFor(m.rows, target), rater, polarity)
-	// Mirror the update onto the successor manager so the row survives a
-	// manager crash (single-manager rings have nobody to mirror to).
-	if backup := mr.successorManager(m); backup != nil {
-		applyRating(rowFor(backup.replicas, target), rater, polarity)
-	}
+	mr.store(mr.managers[owner.ID()], rater, target, polarity, 1)
 	return nil
 }
 
-// rowFor fetches or creates the row for target in the given row map.
-func rowFor(rows map[int]*row, target int) *row {
-	r := rows[target]
-	if r == nil {
-		r = newRow()
-		rows[target] = r
-	}
-	return r
-}
-
-// applyRating folds one rating into a row.
-func applyRating(r *row, rater, polarity int) {
-	r.total[rater]++
-	r.recvTotal++
-	switch polarity {
-	case 1:
-		r.pos[rater]++
-		r.recvPos++
-	case -1:
-		r.neg[rater]++
-		r.recvNeg++
+// store folds times identical ratings into target's row at its manager m,
+// and mirrors them onto the replicas of m's successor so the row survives
+// a crash of m (single-manager rings have nobody to mirror to).
+func (mr *ManagerRing) store(m *manager, rater, target, polarity, times int) {
+	backup := mr.successorManager(m)
+	for ; times > 0; times-- {
+		m.rows.Record(rater, target, polarity)
+		if backup != nil {
+			backup.replicas.Record(rater, target, polarity)
+		}
 	}
 }
 
@@ -251,50 +224,28 @@ func (mr *ManagerRing) FailManager(name string) error {
 	if len(mr.managers) == 1 {
 		return fmt.Errorf("core: cannot fail the last manager")
 	}
-	// The successor holds the victim's replicas; capture them before the
+	// The successor holds the victim's replicas; capture it before the
 	// topology changes.
 	backup := mr.successorManager(victim)
 	if err := mr.ring.Fail(victim.node.ID()); err != nil {
 		return err
 	}
 	delete(mr.managers, victim.node.ID())
-
-	// Recompute responsibility for the whole population.
-	for _, m := range mr.managers {
-		m.responsible = m.responsible[:0]
+	if err := mr.assign(); err != nil {
+		return err
 	}
-	for i := 0; i < mr.population; i++ {
-		owner, err := mr.ring.Owner(mr.keys[i])
-		if err != nil {
-			return err
-		}
-		m := mr.managers[owner.ID()]
-		m.responsible = append(m.responsible, i)
-		mr.ownerOf[i] = m
-	}
-	for _, m := range mr.managers {
-		sort.Ints(m.responsible)
-	}
-	// Promote the victim's replicated rows at their new owners.
-	if backup != nil {
-		for target, r := range backup.replicas {
-			newOwner := mr.ownerOf[target]
-			if newOwner.rows[target] == nil {
-				newOwner.rows[target] = r
-			}
-		}
+	// Chord hands exactly the victim's keys to its successor, and that
+	// successor's replicas are exactly the victim's rows: promote them.
+	if err := backup.rows.Merge(backup.replicas); err != nil {
+		return err
 	}
 	// Rebuild every replica set for the new topology.
 	for _, m := range mr.managers {
-		m.replicas = map[int]*row{}
+		m.replicas.Reset()
 	}
 	for _, m := range mr.managers {
-		backup := mr.successorManager(m)
-		if backup == nil {
-			continue
-		}
-		for target, r := range m.rows {
-			backup.replicas[target] = r.clone()
+		if b := mr.successorManager(m); b != nil {
+			m.rows.CloneInto(b.replicas)
 		}
 	}
 	return nil
@@ -308,42 +259,23 @@ func (mr *ManagerRing) RecordLedger(l *reputation.Ledger) error {
 		return fmt.Errorf("core: ledger size %d != population %d", l.Size(), mr.population)
 	}
 	for target := 0; target < mr.population; target++ {
-		pc := l.PairCountsOf(target)
-		if len(pc.Raters) == 0 {
-			continue
-		}
 		m := mr.ownerOf[target]
-		r := rowFor(m.rows, target)
-		var br *row
-		if backup := mr.successorManager(m); backup != nil {
-			br = rowFor(backup.replicas, target)
-		}
+		pc := l.PairCountsOf(target)
 		for k, r32 := range pc.Raters {
-			total, pos, neg := int(pc.Total[k]), int(pc.Pos[k]), int(pc.Neg[k])
-			addCounts(r, int(r32), total, pos, neg)
-			if br != nil {
-				addCounts(br, int(r32), total, pos, neg)
-			}
+			rater, pos, neg := int(r32), int(pc.Pos[k]), int(pc.Neg[k])
+			mr.store(m, rater, target, 1, pos)
+			mr.store(m, rater, target, -1, neg)
+			mr.store(m, rater, target, 0, int(pc.Total[k])-pos-neg)
 		}
 	}
 	return nil
 }
 
-// addCounts folds aggregate counts into a row.
-func addCounts(r *row, rater, total, pos, neg int) {
-	r.total[rater] += total
-	r.pos[rater] += pos
-	r.neg[rater] += neg
-	r.recvTotal += total
-	r.recvPos += pos
-	r.recvNeg += neg
-}
-
 // ResetPeriod clears all manager rows for a new period T.
 func (mr *ManagerRing) ResetPeriod() {
 	for _, m := range mr.managers {
-		m.rows = map[int]*row{}
-		m.replicas = map[int]*row{}
+		m.rows.Reset()
+		m.replicas.Reset()
 	}
 }
 
@@ -380,19 +312,15 @@ func (mr *ManagerRing) detect(kind Kind) Result {
 	for id := range mr.managers {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	for _, id := range ids {
 		m := mr.managers[id]
 		for _, target := range m.responsible {
-			r := m.rows[target]
-			if r == nil {
+			if float64(m.rows.SummationScore(target)) < mr.th.TR {
 				continue
 			}
-			if float64(r.summation()) < mr.th.TR {
-				continue
-			}
-			mr.scanTarget(kind, m, target, r, &res)
+			mr.scanTarget(kind, m, target, &res)
 		}
 	}
 	mr.associationSweep(&res)
@@ -418,22 +346,15 @@ func (mr *ManagerRing) associationSweep(res *Result) {
 		c := queue[0]
 		queue = queue[1:]
 		m := mr.ownerOf[c]
-		r := m.rows[c]
-		if r == nil {
-			continue
-		}
-		raters := make([]int, 0, len(r.total))
-		for rater := range r.total {
-			raters = append(raters, rater)
-		}
-		sort.Ints(raters)
-		for _, x := range raters {
-			if x == c || res.HasPair(c, x) {
+		pc := m.rows.PairCountsOf(c)
+		for k, x32 := range pc.Raters {
+			x := int(x32)
+			if res.HasPair(c, x) {
 				continue
 			}
 			mr.charge(metrics.CostPairCheck, 1)
-			ncx := r.total[x]
-			if ncx < mr.th.TN || float64(r.pos[x])/float64(ncx) < mr.th.Ta {
+			ncx := int(pc.Total[k])
+			if ncx < mr.th.TN || float64(pc.Pos[k])/float64(ncx) < mr.th.Ta {
 				continue
 			}
 			other := mr.ownerOf[x]
@@ -441,18 +362,14 @@ func (mr *ManagerRing) associationSweep(res *Result) {
 				mr.routeMessage(m, x)
 				mr.charge(metrics.CostManagerMessage, 1)
 			}
-			or := other.rows[x]
-			reciprocates := false
-			if or != nil {
-				nxc := or.total[c]
-				reciprocates = nxc >= mr.th.TN && float64(or.pos[c])/float64(nxc) >= mr.th.Ta
-			}
+			nxc := other.rows.PairTotal(x, c)
+			reciprocates := nxc >= mr.th.TN && float64(other.rows.PairPositive(x, c))/float64(nxc) >= mr.th.Ta
 			if other != m {
 				mr.routeMessage(other, c)
 				mr.charge(metrics.CostManagerMessage, 1)
 			}
 			if reciprocates {
-				mr.addPair(res, c, x, r, or)
+				res.insertPair(pairEvidence(m.rows, c, other.rows, x))
 				if !inQueue[x] {
 					inQueue[x] = true
 					queue = append(queue, x)
@@ -465,15 +382,12 @@ func (mr *ManagerRing) associationSweep(res *Result) {
 // scanTarget examines every rater of one responsible high-reputed node and
 // initiates the symmetric check — local or via a manager-to-manager
 // exchange — whenever its own side of the collusion model holds.
-func (mr *ManagerRing) scanTarget(kind Kind, m *manager, target int, r *row, res *Result) {
-	raters := make([]int, 0, len(r.total))
-	for rater := range r.total {
-		raters = append(raters, rater)
-	}
-	sort.Ints(raters)
-	for _, rater := range raters {
+func (mr *ManagerRing) scanTarget(kind Kind, m *manager, target int, res *Result) {
+	pc := m.rows.PairCountsOf(target)
+	for k, r32 := range pc.Raters {
+		rater := int(r32)
 		mr.charge(metrics.CostPairCheck, 1)
-		if !mr.initiates(kind, r, rater) {
+		if !mr.initiates(kind, m.rows, target, int(pc.Total[k]), int(pc.Pos[k])) {
 			continue
 		}
 		// Symmetric check: local if this manager also owns the rater,
@@ -483,9 +397,8 @@ func (mr *ManagerRing) scanTarget(kind Kind, m *manager, target int, r *row, res
 			mr.routeMessage(m, rater) // request
 			mr.charge(metrics.CostManagerMessage, 1)
 		}
-		or := other.rows[rater]
-		positive := or != nil && float64(or.summation()) >= mr.th.TR &&
-			mr.confirms(kind, or, target)
+		positive := float64(other.rows.SummationScore(rater)) >= mr.th.TR &&
+			mr.confirms(kind, other.rows, rater, target)
 		if other != m {
 			mr.routeMessage(other, target) // response
 			mr.charge(metrics.CostManagerMessage, 1)
@@ -503,77 +416,60 @@ func (mr *ManagerRing) scanTarget(kind Kind, m *manager, target int, r *row, res
 				obs.Str("gate", gate))
 		}
 		if positive {
-			mr.addPair(res, target, rater, r, or)
+			res.insertPair(pairEvidence(m.rows, target, other.rows, rater))
 		}
 	}
 }
 
-// initiates reports whether the initiating side of the protocol holds:
-// the rater is frequent and the manager's own side of the collusion model
-// is satisfied.
-func (mr *ManagerRing) initiates(kind Kind, r *row, rater int) bool {
-	nij := r.total[rater]
+// initiates reports whether the initiating side of the protocol holds for
+// target's row in rows: the rater, whose pair counts are nij and posij, is
+// frequent and the manager's own side of the collusion model is satisfied.
+func (mr *ManagerRing) initiates(kind Kind, rows *reputation.Ledger, target, nij, posij int) bool {
 	if nij < mr.th.TN {
 		return false
 	}
-	recip := float64(r.pos[rater])/float64(nij) >= mr.th.Ta
+	recip := float64(posij)/float64(nij) >= mr.th.Ta
 	if kind == KindBasic {
 		// The unoptimized method computes the outside share for every
-		// frequent rater (the cost Formula (2) eliminates), so the row
-		// scan is unconditional.
-		outLow := mr.outsideLow(r, rater)
-		return recip && outLow
+		// frequent rater (the cost Formula (2) eliminates): the manager
+		// pays a scan of the whole row, read here in O(1) off the totals.
+		mr.charge(metrics.CostMatrixScan, int64(len(rows.RatersOf(target))))
+		return recip && outsideLow(mr.th.Tb, rows.TotalFor(target)-nij, rows.PositiveFor(target)-posij)
 	}
 	if !mr.th.StrictReverse && !recip {
 		return false
 	}
 	mr.charge(metrics.CostBoundCheck, 1)
-	return mr.th.BoundsHold(float64(r.summation()), r.recvTotal, nij)
+	return mr.th.BoundsHold(float64(rows.SummationScore(target)), rows.TotalFor(target), nij)
 }
 
-// confirms reports whether the responding manager validates the reverse
-// direction of a suspicion about one of its responsible nodes. Under the
-// strict (literal) rule it repeats the full one-sided test; under the
-// default rule it verifies only frequent, almost-always-positive
-// reciprocation.
-func (mr *ManagerRing) confirms(kind Kind, r *row, rater int) bool {
-	nji := r.total[rater]
+// confirms reports whether the responding manager, holding node's row in
+// rows, validates the reverse direction of a suspicion about node and
+// partner. Under the strict (literal) rule it repeats the full one-sided
+// test; under the default rule it verifies only frequent,
+// almost-always-positive reciprocation.
+func (mr *ManagerRing) confirms(kind Kind, rows *reputation.Ledger, node, partner int) bool {
+	nji := rows.PairTotal(node, partner)
 	if nji < mr.th.TN {
 		return false
 	}
-	recip := float64(r.pos[rater])/float64(nji) >= mr.th.Ta
+	posji := rows.PairPositive(node, partner)
+	recip := float64(posji)/float64(nji) >= mr.th.Ta
 	if kind == KindBasic {
 		if !recip {
 			return false
 		}
 		if mr.th.StrictReverse {
-			return mr.outsideLow(r, rater)
+			mr.charge(metrics.CostMatrixScan, int64(len(rows.RatersOf(node))))
+			return outsideLow(mr.th.Tb, rows.TotalFor(node)-nji, rows.PositiveFor(node)-posji)
 		}
 		return true
 	}
 	if mr.th.StrictReverse {
 		mr.charge(metrics.CostBoundCheck, 1)
-		return mr.th.BoundsHold(float64(r.summation()), r.recvTotal, nji)
+		return mr.th.BoundsHold(float64(rows.SummationScore(node)), rows.TotalFor(node), nji)
 	}
 	return recip
-}
-
-// outsideLow computes b over a manager row excluding the suspect rater and
-// reports whether it falls below Tb.
-func (mr *ManagerRing) outsideLow(r *row, rater int) bool {
-	othersTotal, othersPos := 0, 0
-	for k, c := range r.total {
-		if k == rater {
-			continue
-		}
-		othersTotal += c
-		othersPos += r.pos[k]
-	}
-	mr.charge(metrics.CostMatrixScan, int64(len(r.total)))
-	if othersTotal == 0 {
-		return true
-	}
-	return float64(othersPos)/float64(othersTotal) < mr.th.Tb
 }
 
 // routeMessage routes a manager-to-manager message through the DHT so the
@@ -583,29 +479,6 @@ func (mr *ManagerRing) routeMessage(from *manager, aboutNode int) {
 		return
 	}
 	_, _, _ = mr.ring.FindSuccessor(from.node, mr.keys[aboutNode])
-}
-
-func (mr *ManagerRing) addPair(res *Result, target, rater int, rt, rr *row) {
-	i, j := target, rater
-	ri, rj := rt, rr
-	if i > j {
-		i, j = j, i
-		ri, rj = rr, rt
-	}
-	e := Evidence{I: i, J: j}
-	if ri != nil {
-		e.NIJ = ri.total[j]
-		if e.NIJ > 0 {
-			e.AIJ = float64(ri.pos[j]) / float64(e.NIJ)
-		}
-	}
-	if rj != nil {
-		e.NJI = rj.total[i]
-		if e.NJI > 0 {
-			e.AJI = float64(rj.pos[i]) / float64(e.NJI)
-		}
-	}
-	res.insertPair(e)
 }
 
 func (mr *ManagerRing) charge(name string, n int64) {

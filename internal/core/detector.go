@@ -954,17 +954,24 @@ func pairIndex(a, b, n int) int {
 }
 
 func (r *Result) addPair(l *reputation.Ledger, i, j int) {
+	r.insertPair(pairEvidence(l, i, l, j))
+}
+
+// pairEvidence reads the Evidence of the pair {i, j} off i's row in li and
+// j's row in lj, normalized to I < J. The centralized detectors pass one
+// ledger twice; a manager ring passes the ledgers of the two managers.
+func pairEvidence(li *reputation.Ledger, i int, lj *reputation.Ledger, j int) Evidence {
 	if i > j {
-		i, j = j, i
+		li, i, lj, j = lj, j, li, i
 	}
-	e := Evidence{I: i, J: j, NIJ: l.PairTotal(i, j), NJI: l.PairTotal(j, i)}
+	e := Evidence{I: i, J: j, NIJ: li.PairTotal(i, j), NJI: lj.PairTotal(j, i)}
 	if e.NIJ > 0 {
-		e.AIJ = float64(l.PairPositive(i, j)) / float64(e.NIJ)
+		e.AIJ = float64(li.PairPositive(i, j)) / float64(e.NIJ)
 	}
 	if e.NJI > 0 {
-		e.AJI = float64(l.PairPositive(j, i)) / float64(e.NJI)
+		e.AJI = float64(lj.PairPositive(j, i)) / float64(e.NJI)
 	}
-	r.insertPair(e)
+	return e
 }
 
 // sortPairs orders Pairs by (I, J). Insertion sort: pair lists are short,

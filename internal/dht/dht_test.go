@@ -123,7 +123,7 @@ func TestRoutingMatchesOwnership(t *testing.T) {
 	r := buildPaperRing(t)
 	for key := ID(0); key <= 15; key++ {
 		owner, _ := r.Owner(key)
-		for _, start := range r.Nodes() {
+		for _, start := range r.nodes {
 			got, hops, err := r.FindSuccessor(start, key)
 			if err != nil {
 				t.Fatalf("FindSuccessor(%v, %d): %v", start.Name(), key, err)
@@ -167,14 +167,8 @@ func TestEmptyRingErrors(t *testing.T) {
 	if _, err := r.Owner(1); err == nil {
 		t.Fatal("Owner on empty ring succeeded")
 	}
-	if _, err := r.Insert(1, "x"); err == nil {
-		t.Fatal("Insert on empty ring succeeded")
-	}
-	if _, _, err := r.Lookup(1); err == nil {
-		t.Fatal("Lookup on empty ring succeeded")
-	}
-	if err := r.RemoveNode(1); err == nil {
-		t.Fatal("RemoveNode on empty ring succeeded")
+	if err := r.Fail(1); err == nil {
+		t.Fatal("Fail on empty ring succeeded")
 	}
 }
 
@@ -188,83 +182,42 @@ func TestIDCollisionRejected(t *testing.T) {
 	}
 }
 
-func TestInsertLookup(t *testing.T) {
-	r := buildPaperRing(t)
-	if _, err := r.Insert(10, "rating-1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Insert(10, "rating-2"); err != nil {
-		t.Fatal(err)
-	}
-	vals, _, err := r.Lookup(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0] != "rating-1" || vals[1] != "rating-2" {
-		t.Fatalf("Lookup(10) = %v", vals)
-	}
-	// Values live at the owner.
-	owner, _ := r.Owner(10)
-	if owner.ID() != 10 || len(owner.StoredKeys()) != 1 {
-		t.Fatalf("owner store wrong: %v", owner.StoredKeys())
-	}
-}
-
-func TestLookupReturnsCopy(t *testing.T) {
-	r := buildPaperRing(t)
-	if _, err := r.Insert(3, "a"); err != nil {
-		t.Fatal(err)
-	}
-	vals, _, _ := r.Lookup(3)
-	vals[0] = "mutated"
-	vals2, _, _ := r.Lookup(3)
-	if vals2[0] != "a" {
-		t.Fatal("Lookup exposed internal storage")
-	}
-}
-
+// Key ownership moves to a joining node that now succeeds the key, by
+// routing as well as by the ownership oracle.
 func TestKeyRehomingOnJoin(t *testing.T) {
 	r, _ := NewRing(6, nil)
 	if _, err := r.AddNodeWithID(50, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Insert(10, "v"); err != nil {
-		t.Fatal(err)
-	}
 	// Key 10 is owned by node 50 (only node). After node 20 joins, the
-	// owner of key 10 becomes node 20 and the value must move.
+	// owner of key 10 becomes node 20.
 	n20, err := r.AddNodeWithID(20, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, _, err := r.Lookup(10)
+	owner, _, err := r.FindSuccessor(nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 1 || vals[0] != "v" {
-		t.Fatalf("value lost on join: %v", vals)
-	}
-	if got := n20.store[10]; len(got) != 1 {
-		t.Fatal("value did not move to the new owner")
+	if oracle, _ := r.Owner(10); owner != n20 || oracle != n20 {
+		t.Fatalf("key 10 routed to %s, owned by %s, want b", owner.Name(), oracle.Name())
 	}
 }
 
+// Key ownership passes to the successor of a node that leaves.
 func TestKeyRehomingOnLeave(t *testing.T) {
 	r, _ := NewRing(6, nil)
 	r.AddNodeWithID(20, "a")
-	r.AddNodeWithID(50, "b")
-	if _, err := r.Insert(10, "v"); err != nil {
+	n50, _ := r.AddNodeWithID(50, "b")
+	if err := r.Fail(20); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RemoveNode(20); err != nil {
-		t.Fatal(err)
-	}
-	vals, _, err := r.Lookup(10)
+	owner, _, err := r.FindSuccessor(nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 1 || vals[0] != "v" {
-		t.Fatalf("value lost on leave: %v", vals)
+	if oracle, _ := r.Owner(10); owner != n50 || oracle != n50 {
+		t.Fatalf("key 10 routed to %s, owned by %s, want b", owner.Name(), oracle.Name())
 	}
 }
 
@@ -277,7 +230,7 @@ func TestMessageCounting(t *testing.T) {
 		}
 	}
 	before := meter.Get(metrics.CostDHTMessage)
-	if _, _, err := r.Lookup(12345); err != nil {
+	if _, _, err := r.FindSuccessor(nil, 12345); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Get(metrics.CostDHTMessage) <= before {
@@ -338,14 +291,14 @@ func TestQuickRoutingAgreesWithBruteForce(t *testing.T) {
 			// Collisions in the random data are fine; skip them.
 			_, _ = r.AddNodeWithID(ID(raw), fmt.Sprintf("n%d", i))
 		}
-		if r.Len() == 0 {
+		if len(r.nodes) == 0 {
 			return true
 		}
 		rand := rng.New(seed)
 		for _, rawKey := range rawKeys {
 			key := ID(rawKey)
 			want, _ := r.Owner(key)
-			start := r.nodes[rand.Intn(r.Len())]
+			start := r.nodes[rand.Intn(len(r.nodes))]
 			got, _, err := r.FindSuccessor(start, key)
 			if err != nil || got != want {
 				return false
@@ -369,7 +322,7 @@ func TestQuickOwnershipPartition(t *testing.T) {
 		for i, raw := range rawIDs {
 			_, _ = r.AddNodeWithID(ID(raw), fmt.Sprintf("n%d", i))
 		}
-		if r.Len() == 0 {
+		if len(r.nodes) == 0 {
 			return true
 		}
 		counts := map[ID]int{}
@@ -384,7 +337,7 @@ func TestQuickOwnershipPartition(t *testing.T) {
 		for _, c := range counts {
 			total += c
 		}
-		return total == 256 && len(counts) == r.Len()
+		return total == 256 && len(counts) == len(r.nodes)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 )
 
 // Example reproduces the paper's Figure 2: a 4-bit Chord ring with nodes
-// 1, 6, 10 and 15, where ratings for node 10 are inserted under key 10 and
-// served by its owner.
+// 1, 6, 10 and 15. Ratings of node 10 belong to the owner of key 10, and
+// both Insert(10, r10) and a later query for them route there.
 func Example() {
 	ring, err := dht.NewRing(4, nil)
 	if err != nil {
@@ -19,25 +19,21 @@ func Example() {
 			panic(err)
 		}
 	}
-	// Insert(10, r10): other nodes report node 10's local reputation.
-	if _, err := ring.Insert(10, "r10"); err != nil {
-		panic(err)
-	}
 	owner, _ := ring.Owner(10)
 	fmt.Println("owner of key 10:", owner.Name())
 
-	// Lookup(10): a client queries node 10's reputation.
-	vals, hops, err := ring.Lookup(10)
+	// Route from the first node to the owner of key 10.
+	node, hops, err := ring.FindSuccessor(nil, 10)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("lookup found %v (%d routing hops)\n", vals, hops)
+	fmt.Printf("route to key 10 reaches %s (%d routing hops)\n", node.Name(), hops)
 
 	// Key 11 wraps to the next node on the circle.
 	owner11, _ := ring.Owner(11)
 	fmt.Println("owner of key 11:", owner11.Name())
 	// Output:
 	// owner of key 10: n10
-	// lookup found [r10] (2 routing hops)
+	// route to key 10 reaches n10 (2 routing hops)
 	// owner of key 11: n15
 }

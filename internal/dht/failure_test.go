@@ -8,7 +8,7 @@ import (
 	"github.com/p2psim/collusion/internal/rng"
 )
 
-func buildRing(t *testing.T, n int, replicas int) *Ring {
+func buildRing(t *testing.T, n int) *Ring {
 	t.Helper()
 	r, err := NewRing(32, nil)
 	if err != nil {
@@ -19,141 +19,29 @@ func buildRing(t *testing.T, n int, replicas int) *Ring {
 			t.Fatal(err)
 		}
 	}
-	if replicas > 0 {
-		if err := r.SetReplicationFactor(replicas); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return r
 }
 
-func TestSuccessorListsBuilt(t *testing.T) {
-	r := buildRing(t, 16, 0)
-	for _, n := range r.Nodes() {
-		succ := n.Successors()
-		if len(succ) != SuccessorListLength {
-			t.Fatalf("node %s has %d successors, want %d", n.Name(), len(succ), SuccessorListLength)
-		}
-		if succ[0] != n.Successor() {
-			t.Fatal("first successor-list entry is not the direct successor")
-		}
-		// Entries must be distinct and exclude the node itself.
-		seen := map[ID]bool{n.ID(): true}
-		for _, s := range succ {
-			if seen[s.ID()] {
-				t.Fatalf("duplicate or self entry in successor list of %s", n.Name())
-			}
-			seen[s.ID()] = true
-		}
-	}
-}
-
-func TestSuccessorListShortRing(t *testing.T) {
-	r := buildRing(t, 3, 0)
-	for _, n := range r.Nodes() {
-		if got := len(n.Successors()); got != 2 {
-			t.Fatalf("3-node ring successor list = %d, want 2", got)
-		}
-	}
-}
-
-func TestSetReplicationFactorValidation(t *testing.T) {
-	r := buildRing(t, 4, 0)
-	if err := r.SetReplicationFactor(-1); err == nil {
-		t.Fatal("negative replication accepted")
-	}
-	if err := r.SetReplicationFactor(2); err != nil {
-		t.Fatal(err)
-	}
-	if r.ReplicationFactor() != 2 {
-		t.Fatalf("replication factor = %d", r.ReplicationFactor())
-	}
-}
-
 func TestFailUnknownNode(t *testing.T) {
-	r := buildRing(t, 4, 0)
+	r := buildRing(t, 4)
 	if err := r.Fail(999999); err == nil {
 		t.Fatal("failing unknown node succeeded")
 	}
-}
-
-func TestFailWithoutReplicationLosesKeys(t *testing.T) {
-	r := buildRing(t, 8, 0)
-	key := r.Space().HashString("some-key")
-	if _, err := r.Insert(key, "v"); err != nil {
+	// A node fails once; it is unknown from then on.
+	id := r.nodes[0].ID()
+	if err := r.Fail(id); err != nil {
 		t.Fatal(err)
 	}
-	owner, _ := r.Owner(key)
-	if err := r.Fail(owner.ID()); err != nil {
-		t.Fatal(err)
-	}
-	vals, _, err := r.Lookup(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 0 {
-		t.Fatalf("crashed node's keys survived without replication: %v", vals)
-	}
-}
-
-func TestFailWithReplicationRecoversKeys(t *testing.T) {
-	r := buildRing(t, 8, 2)
-	key := r.Space().HashString("replicated-key")
-	if _, err := r.Insert(key, "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Insert(key, "v2"); err != nil {
-		t.Fatal(err)
-	}
-	owner, _ := r.Owner(key)
-	if err := r.Fail(owner.ID()); err != nil {
-		t.Fatal(err)
-	}
-	vals, _, err := r.Lookup(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0] != "v1" || vals[1] != "v2" {
-		t.Fatalf("recovered values = %v, want [v1 v2]", vals)
-	}
-}
-
-func TestSequentialFailuresWithReplication(t *testing.T) {
-	r := buildRing(t, 12, 3)
-	keys := make([]ID, 20)
-	for i := range keys {
-		keys[i] = r.Space().HashString(fmt.Sprintf("key-%d", i))
-		if _, err := r.Insert(keys[i], i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fail three nodes, one at a time (each failure is followed by
-	// re-replication, as stabilization would do).
-	rand := rng.New(5)
-	for k := 0; k < 3; k++ {
-		nodes := r.Nodes()
-		victim := nodes[rand.Intn(len(nodes))]
-		if err := r.Fail(victim.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, key := range keys {
-		vals, _, err := r.Lookup(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vals) != 1 || vals[0] != i {
-			t.Fatalf("key %d lost after failures: %v", i, vals)
-		}
+	if err := r.Fail(id); err == nil {
+		t.Fatal("double failure accepted")
 	}
 }
 
 func TestRoutingCorrectAfterFailures(t *testing.T) {
-	r := buildRing(t, 32, 0)
+	r := buildRing(t, 32)
 	rand := rng.New(9)
 	for k := 0; k < 8; k++ {
-		nodes := r.Nodes()
-		if err := r.Fail(nodes[rand.Intn(len(nodes))].ID()); err != nil {
+		if err := r.Fail(r.nodes[rand.Intn(len(r.nodes))].ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,50 +61,10 @@ func TestRoutingCorrectAfterFailures(t *testing.T) {
 	}
 }
 
-func TestLookupWithFallback(t *testing.T) {
-	r := buildRing(t, 8, 2)
-	key := r.Space().HashString("fallback-key")
-	if _, err := r.Insert(key, "v"); err != nil {
-		t.Fatal(err)
-	}
-	vals, node, _, err := r.LookupWithFallback(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 1 || vals[0] != "v" {
-		t.Fatalf("fallback lookup on healthy ring = %v", vals)
-	}
-	if node == nil || !node.Alive() {
-		t.Fatal("served by nil or dead node")
-	}
-}
-
-func TestAliveFlag(t *testing.T) {
-	r := buildRing(t, 4, 0)
-	n := r.Nodes()[0]
-	if !n.Alive() {
-		t.Fatal("fresh node reported dead")
-	}
-	if err := r.Fail(n.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if n.Alive() {
-		t.Fatal("failed node reported alive")
-	}
-	if err := r.Fail(n.ID()); err == nil {
-		t.Fatal("double failure accepted")
-	}
-}
-
 // Concurrent read-only lookups must be race-free once the topology is
 // stable (run under -race).
 func TestConcurrentLookups(t *testing.T) {
-	r := buildRing(t, 64, 0)
-	for i := 0; i < 50; i++ {
-		if _, err := r.Insert(r.Space().HashInt(i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r := buildRing(t, 64)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -226,8 +74,13 @@ func TestConcurrentLookups(t *testing.T) {
 			rand := rng.New(seed)
 			for i := 0; i < 500; i++ {
 				key := r.Space().HashInt(rand.Intn(50))
-				if _, _, err := r.Lookup(key); err != nil {
+				got, _, err := r.FindSuccessor(r.nodes[rand.Intn(len(r.nodes))], key)
+				if err != nil {
 					errs <- err
+					return
+				}
+				if want, _ := r.Owner(key); got != want {
+					errs <- fmt.Errorf("lookup of %d reached %s, want %s", key, got.Name(), want.Name())
 					return
 				}
 			}
@@ -240,7 +93,7 @@ func TestConcurrentLookups(t *testing.T) {
 	}
 }
 
-func BenchmarkFailAndRecover(b *testing.B) {
+func BenchmarkFail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		r, _ := NewRing(32, nil)
@@ -249,15 +102,7 @@ func BenchmarkFailAndRecover(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := r.SetReplicationFactor(2); err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 50; j++ {
-			if _, err := r.Insert(r.Space().HashInt(j), j); err != nil {
-				b.Fatal(err)
-			}
-		}
-		victim := r.Nodes()[0]
+		victim := r.nodes[0]
 		b.StartTimer()
 		if err := r.Fail(victim.ID()); err != nil {
 			b.Fatal(err)

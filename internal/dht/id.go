@@ -1,12 +1,15 @@
-// Package dht implements the Chord distributed hash table used as the
-// substrate of decentralized reputation systems in Section IV-A of the
-// paper: reputation managers form a Chord ring, a node's ratings are stored
-// at the owner of its hashed ID, and managers communicate with
-// Insert(ID, value) / Lookup(ID) primitives. The implementation follows
-// Stoica et al. (the paper's reference [22]): an m-bit circular identifier
-// space, successor ownership, finger tables, and iterative O(log n)
-// routing. Routing hops are counted as messages so the decentralized
-// detection experiments can report communication cost.
+// Package dht implements the Chord routing substrate of the decentralized
+// reputation system in Section IV-A of the paper: reputation managers form
+// a Chord ring, and the rating row of node i lives at the owner of its
+// hashed ID. The ring follows Stoica et al. (the paper's reference [22]):
+// an m-bit circular identifier space, successor ownership, finger tables,
+// and iterative O(log n) routing. Routing hops are counted as messages so
+// the decentralized detection experiments can report communication cost.
+//
+// The ring only routes; it stores no data. The paper's Insert(ID_i, r_i),
+// a rating routed to node i's manager, is core.ManagerRing.Record, and its
+// Insert(j, msg), a manager's request to node j's manager, is a
+// FindSuccessor call routed by that ring's detection protocol.
 package dht
 
 import (
@@ -39,12 +42,6 @@ func (s Space) Mask() ID {
 		return ^ID(0)
 	}
 	return ID(1)<<s.Bits - 1
-}
-
-// Size returns the number of points on the circle as a float (exact for
-// Bits < 64); used only for diagnostics.
-func (s Space) Size() float64 {
-	return float64(uint64(s.Mask())) + 1
 }
 
 // Hash maps an arbitrary byte key onto the circle by truncating its SHA-1

@@ -8,18 +8,12 @@ import (
 	"github.com/p2psim/collusion/internal/obs"
 )
 
-// Node is a Chord participant: an identifier, a finger table, and a local
-// key/value store for the keys it owns.
+// Node is a Chord participant: an identifier and a finger table.
 type Node struct {
-	id           ID
-	name         string
-	fingers      []*Node // fingers[k] = successor(id + 2^k)
-	succ         *Node
-	pred         *Node
-	succList     []*Node // r live successors for failure tolerance
-	store        map[ID][]any
-	replicaStore map[ID][]any // copies held on behalf of predecessors
-	failed       bool
+	id      ID
+	name    string
+	fingers []*Node // fingers[k] = successor(id + 2^k)
+	succ    *Node
 }
 
 // ID returns the node's position on the circle.
@@ -31,33 +25,21 @@ func (n *Node) Name() string { return n.name }
 // Successor returns the node's immediate successor on the ring.
 func (n *Node) Successor() *Node { return n.succ }
 
-// Predecessor returns the node's immediate predecessor on the ring.
-func (n *Node) Predecessor() *Node { return n.pred }
-
-// StoredKeys returns the keys currently stored at this node, ascending.
-func (n *Node) StoredKeys() []ID {
-	out := make([]ID, 0, len(n.store))
-	for k := range n.store {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Ring is an in-process simulation of a Chord overlay. It is deterministic:
-// topology is rebuilt exactly (no probabilistic stabilization), while
-// lookups still route through finger tables and report their hop counts,
-// preserving the O(log n) message costs a deployment would pay.
+// Ring is an in-process simulation of Chord routing. It is deterministic:
+// topology is rebuilt exactly on every join and failure (no probabilistic
+// stabilization), while lookups still route through finger tables and
+// report their hop counts, preserving the O(log n) message costs a
+// deployment would pay. The ring stores nothing: whoever owns a key keeps
+// the key's data (core.ManagerRing keeps its managers' rating rows).
 //
-// Ring is not safe for concurrent mutation; concurrent Lookups are safe
-// once the topology is built.
+// Ring is not safe for concurrent mutation; concurrent FindSuccessor calls
+// are safe once the topology is built.
 type Ring struct {
-	space    Space
-	nodes    []*Node // sorted by id
-	byID     map[ID]*Node
-	meter    *metrics.CostMeter
-	hops     *obs.Histogram // per-lookup hop counts, when observed
-	replicas int            // successor copies per key (0 = none)
+	space Space
+	nodes []*Node // sorted by id
+	byID  map[ID]*Node
+	meter *metrics.CostMeter
+	hops  *obs.Histogram // per-lookup hop counts, when observed
 }
 
 // NewRing creates an empty ring over an m-bit space. The meter, if non-nil,
@@ -73,18 +55,7 @@ func NewRing(bits uint, meter *metrics.CostMeter) (*Ring, error) {
 // Space returns the ring's identifier space.
 func (r *Ring) Space() Space { return r.space }
 
-// Len returns the number of nodes on the ring.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Nodes returns the ring's nodes in ascending ID order.
-func (r *Ring) Nodes() []*Node {
-	out := make([]*Node, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 // AddNode joins a node whose ID is the hash of name and returns it.
-// Keys are re-homed to preserve successor ownership.
 func (r *Ring) AddNode(name string) (*Node, error) {
 	return r.addNode(r.space.HashString(name), name)
 }
@@ -99,7 +70,7 @@ func (r *Ring) addNode(id ID, name string) (*Node, error) {
 	if _, exists := r.byID[id]; exists {
 		return nil, fmt.Errorf("dht: ID collision at %d (node %q)", id, name)
 	}
-	n := &Node{id: id, name: name, store: make(map[ID][]any), replicaStore: make(map[ID][]any)}
+	n := &Node{id: id, name: name}
 	r.byID[id] = n
 	r.nodes = append(r.nodes, n)
 	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].id < r.nodes[j].id })
@@ -107,8 +78,11 @@ func (r *Ring) addNode(id ID, name string) (*Node, error) {
 	return n, nil
 }
 
-// RemoveNode departs a node; its stored keys are re-homed to the new owner.
-func (r *Ring) RemoveNode(id ID) error {
+// Fail crashes a node: it leaves the ring and its successor owns its keys
+// from then on. The ring holds no data to hand off; a caller that keeps
+// per-key state recovers it from its own replicas. Returns an error for
+// unknown nodes.
+func (r *Ring) Fail(id ID) error {
 	n, ok := r.byID[id]
 	if !ok {
 		return fmt.Errorf("dht: no node with ID %d", id)
@@ -120,28 +94,16 @@ func (r *Ring) RemoveNode(id ID) error {
 			break
 		}
 	}
-	orphaned := n.store
 	r.rebuild()
-	if len(r.nodes) > 0 {
-		for k, vals := range orphaned {
-			owner := r.successor(k)
-			owner.store[k] = append(owner.store[k], vals...)
-		}
-	}
 	return nil
 }
 
-// rebuild recomputes successors, predecessors and finger tables exactly,
-// then re-homes any keys whose owner changed.
+// rebuild recomputes successors and finger tables exactly.
 func (r *Ring) rebuild() {
 	n := len(r.nodes)
-	if n == 0 {
-		return
-	}
 	for i, node := range r.nodes {
 		node.succ = r.nodes[(i+1)%n]
-		node.pred = r.nodes[(i-1+n)%n]
-		if node.fingers == nil || len(node.fingers) != int(r.space.Bits) {
+		if len(node.fingers) != int(r.space.Bits) {
 			node.fingers = make([]*Node, r.space.Bits)
 		}
 		for k := uint(0); k < r.space.Bits; k++ {
@@ -149,17 +111,6 @@ func (r *Ring) rebuild() {
 			node.fingers[k] = r.successor(start)
 		}
 	}
-	// Re-home keys displaced by the topology change.
-	for _, node := range r.nodes {
-		for k, vals := range node.store {
-			owner := r.successor(k)
-			if owner != node {
-				owner.store[k] = append(owner.store[k], vals...)
-				delete(node.store, k)
-			}
-		}
-	}
-	r.buildSuccessorLists()
 }
 
 // successor finds the owner of key by direct inspection of the sorted node
@@ -215,8 +166,8 @@ func (r *Ring) countHop() {
 }
 
 // SetHopObserver registers a histogram that observes the hop count of
-// every successfully routed FindSuccessor call (and therefore of every
-// Insert/Lookup). A nil histogram disables observation.
+// every successfully routed FindSuccessor call. A nil histogram disables
+// observation.
 func (r *Ring) SetHopObserver(h *obs.Histogram) { r.hops = h }
 
 func (r *Ring) observeHops(n int) {
@@ -244,29 +195,4 @@ func (r *Ring) Owner(key ID) (*Node, error) {
 		return nil, fmt.Errorf("dht: ring is empty")
 	}
 	return r.successor(key), nil
-}
-
-// Insert routes value to the owner of key and appends it to the owner's
-// store, as the paper's Insert(ID_i, r_i) primitive. It returns the hops
-// taken.
-func (r *Ring) Insert(key ID, value any) (int, error) {
-	owner, hops, err := r.FindSuccessor(nil, key)
-	if err != nil {
-		return hops, err
-	}
-	owner.store[key] = append(owner.store[key], value)
-	if r.replicas > 0 {
-		r.replicate(key, owner.store[key])
-	}
-	return hops, nil
-}
-
-// Lookup routes to the owner of key and returns the stored values, as the
-// paper's Lookup(ID_i) primitive. It returns the hops taken.
-func (r *Ring) Lookup(key ID) ([]any, int, error) {
-	owner, hops, err := r.FindSuccessor(nil, key)
-	if err != nil {
-		return nil, hops, err
-	}
-	return append([]any(nil), owner.store[key]...), hops, nil
 }
