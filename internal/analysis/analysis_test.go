@@ -167,21 +167,21 @@ func TestInteractionGraphBasics(t *testing.T) {
 	}
 
 	g := BuildInteractionGraph(tr, GraphOptions{EdgeThreshold: 20})
-	if !g.HasEdge(1, 2) || !g.HasEdge(2, 1) {
+	if !g.adj[1][2] || !g.adj[2][1] {
 		t.Fatal("missing mutual high-frequency edge")
 	}
-	if g.HasEdge(3, 4) {
+	if g.adj[3][4] {
 		t.Fatal("edge below threshold present")
 	}
-	if !g.HasEdge(5, 6) {
+	if !g.adj[5][6] {
 		t.Fatal("one-way edge should exist without RequireMutual")
 	}
 
 	gm := BuildInteractionGraph(tr, GraphOptions{EdgeThreshold: 20, RequireMutual: true})
-	if gm.HasEdge(5, 6) {
+	if gm.adj[5][6] {
 		t.Fatal("one-way edge should be dropped with RequireMutual")
 	}
-	if !gm.HasEdge(1, 2) {
+	if !gm.adj[1][2] {
 		t.Fatal("mutual edge dropped with RequireMutual")
 	}
 }
@@ -243,7 +243,7 @@ func TestGraphEdgesSortedAndSymmetric(t *testing.T) {
 		if e[0] >= e[1] {
 			t.Fatalf("edge endpoints not ordered: %v", e)
 		}
-		if !g.HasEdge(e[1], e[0]) {
+		if !g.adj[e[1]][e[0]] {
 			t.Fatalf("edge %v not symmetric", e)
 		}
 	}
@@ -315,7 +315,7 @@ func TestOverstockPipelineStructure(t *testing.T) {
 	g := BuildInteractionGraph(tr, GraphOptions{EdgeThreshold: 20, RequireMutual: true})
 
 	for _, p := range tr.Truth.ColludingPairs {
-		if !g.HasEdge(p[0], p[1]) {
+		if !g.adj[p[0]][p[1]] {
 			t.Fatalf("planted pair %v not recovered as an edge", p)
 		}
 	}

@@ -99,12 +99,6 @@ func (g *InteractionGraph) Edges() [][2]trace.NodeID {
 	return out
 }
 
-// Degree returns a node's edge count.
-func (g *InteractionGraph) Degree(n trace.NodeID) int { return len(g.adj[n]) }
-
-// HasEdge reports whether a and b are connected.
-func (g *InteractionGraph) HasEdge(a, b trace.NodeID) bool { return g.adj[a][b] }
-
 // Components returns connected components, each sorted ascending, ordered
 // by their smallest member.
 func (g *InteractionGraph) Components() [][]trace.NodeID {

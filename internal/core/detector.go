@@ -944,15 +944,6 @@ func summationCandidates(l *reputation.Ledger, tr float64) []int {
 	return out
 }
 
-// pairIndex maps the unordered pair {a, b} to its flat upper-triangular
-// slot a*n+b (after normalizing a < b) in an n*n bitset.
-func pairIndex(a, b, n int) int {
-	if a > b {
-		a, b = b, a
-	}
-	return a*n + b
-}
-
 func (r *Result) addPair(l *reputation.Ledger, i, j int) {
 	r.insertPair(pairEvidence(l, i, l, j))
 }

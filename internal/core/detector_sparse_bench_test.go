@@ -171,7 +171,8 @@ func BenchmarkIncrementalDetectCumulative100k(b *testing.B) {
 		e := i % trickleEpochs
 		if e == 0 {
 			b.StopTimer()
-			l = history.Clone()
+			l = reputation.NewLedger(n)
+			history.CloneInto(l)
 			d = NewOptimized(DefaultThresholds())
 			d.DetectIncremental(l, l.DirtyTargets())
 			l.ClearDirty()

@@ -30,6 +30,14 @@ func TestThresholdsValidate(t *testing.T) {
 	}
 }
 
+// FormulaReputation evaluates Formula (1): the summation reputation of a
+// node that received ni ratings in total, nij of them from one rater whose
+// positive share is a, while the positive share of the other ni-nij
+// ratings is b. The identity holds exactly when every rating is ±1.
+func FormulaReputation(ni, nij int, a, b float64) float64 {
+	return 2*b*float64(ni-nij) + 2*a*float64(nij) - float64(ni)
+}
+
 func TestFormulaReputationIdentity(t *testing.T) {
 	// Hand check: ni=100, nij=40 from the rater with a=1.0; others 60
 	// ratings with b=0.1 → R = 2*0.1*60 + 2*1*40 - 100 = 12 - 20 = -8...

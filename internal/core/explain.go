@@ -5,13 +5,14 @@ import (
 	"github.com/p2psim/collusion/internal/reputation"
 )
 
-// ExplainPair reruns the optimized (§IV-C, Formula (2)) screening cascade
-// on one pair as a pure function of the ledger — no meter charges, no
-// detector state, no result mutation — and returns the full decision
-// record: the first gate the pair stops at (or obs.GateFlagged when every
-// gate passes) together with every statistic the cascade consults,
-// including the Formula (2) reputation intervals of both sides. The pair
-// is normalized to I < J, as in the detectors' own audits.
+// ExplainPair reruns the optimized (§IV-C, Formula (2)) screening cascade,
+// Optimized.screenPair itself, on one pair as a pure function of the
+// ledger — no meter charges, no detector state, no result mutation — and
+// returns the full decision record: the first gate the pair stops at (or
+// obs.GateFlagged when every gate passes) together with every statistic
+// the cascade consults, including the Formula (2) reputation intervals of
+// both sides. The pair is normalized to I < J, as in the detectors' own
+// audits.
 //
 // Unlike the detectors, the cascade here is prefixed with the T_R
 // candidate screen (gate obs.GateTR): the detectors only ever examine
@@ -28,37 +29,12 @@ func ExplainPair(l *reputation.Ledger, th Thresholds, i, j int) obs.PairAudit {
 	if i > j {
 		i, j = j, i
 	}
-	a := pairAuditFor(l, "explain", i, j, "")
+	a := pairAuditFor(l, "explain", i, j, obs.GateTR)
 	a.LoI, a.HiI = th.ReputationBounds(a.NI, a.NIJ)
 	a.LoJ, a.HiJ = th.ReputationBounds(a.NJ, a.NJI)
-	a.Gate = explainGate(th, a)
+	if a.RI >= th.TR && a.RJ >= th.TR {
+		o := Optimized{Thresholds: th}
+		a.Gate, _ = o.screenPair(l, i, j, a.NIJ, l.PairPositive(i, j))
+	}
 	return a
-}
-
-// explainGate runs the optimized cascade over an assembled audit record,
-// in the exact gate order Optimized.screenPair uses, prefixed with the
-// T_R candidate screen.
-func explainGate(th Thresholds, a obs.PairAudit) string {
-	if a.RI < th.TR || a.RJ < th.TR {
-		return obs.GateTR
-	}
-	if a.NIJ < th.TN || a.NJI < th.TN {
-		return obs.GateTN
-	}
-	if th.StrictReverse {
-		if !th.BoundsHold(a.RI, a.NI, a.NIJ) {
-			return obs.GateBoundForward
-		}
-		if !th.BoundsHold(a.RJ, a.NJ, a.NJI) {
-			return obs.GateBoundReverse
-		}
-		return obs.GateFlagged
-	}
-	if a.AIJ < th.Ta || a.AJI < th.Ta {
-		return obs.GateTA
-	}
-	if !th.BoundsHold(a.RI, a.NI, a.NIJ) && !th.BoundsHold(a.RJ, a.NJ, a.NJI) {
-		return obs.GateBound
-	}
-	return obs.GateFlagged
 }

@@ -56,17 +56,6 @@ type GroupResult struct {
 	Flagged []bool
 }
 
-// FlaggedNodes returns all flagged node indices, ascending.
-func (r GroupResult) FlaggedNodes() []int {
-	var out []int
-	for i, f := range r.Flagged {
-		if f {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // HasGroup reports whether some detected group contains every given node.
 func (r GroupResult) HasGroup(nodes ...int) bool {
 	for _, g := range r.Groups {

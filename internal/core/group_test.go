@@ -65,7 +65,7 @@ func TestGroupDetectsRing(t *testing.T) {
 	if grp.OutsidePositiveShare != 0 {
 		t.Fatalf("outside positive share = %v, want 0", grp.OutsidePositiveShare)
 	}
-	nodes := res.FlaggedNodes()
+	nodes := flaggedNodes(res.Flagged)
 	if len(nodes) != 3 {
 		t.Fatalf("flagged = %v", nodes)
 	}

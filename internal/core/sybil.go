@@ -55,28 +55,6 @@ type SybilResult struct {
 	Flagged []bool
 }
 
-// FlaggedNodes returns all flagged node indices, ascending.
-func (r SybilResult) FlaggedNodes() []int {
-	var out []int
-	for i, f := range r.Flagged {
-		if f {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// HasTarget reports whether the node was detected as a boosted
-// beneficiary.
-func (r SybilResult) HasTarget(node int) bool {
-	for _, f := range r.Findings {
-		if f.Target == node {
-			return true
-		}
-	}
-	return false
-}
-
 // SybilDetector finds one-way boosting swarms.
 type SybilDetector struct {
 	Thresholds Thresholds

@@ -16,6 +16,27 @@ func plantSwarm(l *reputation.Ledger, target int, boosters []int, ratings int) {
 	}
 }
 
+// hasTarget reports whether res found node as a boosted beneficiary.
+func hasTarget(res SybilResult, node int) bool {
+	for _, f := range res.Findings {
+		if f.Target == node {
+			return true
+		}
+	}
+	return false
+}
+
+// flaggedNodes returns the indices set in flagged, ascending.
+func flaggedNodes(flagged []bool) []int {
+	var out []int
+	for i, f := range flagged {
+		if f {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestSybilDetectsSwarm(t *testing.T) {
 	const n = 24
 	l := reputation.NewLedger(n)
@@ -32,7 +53,7 @@ func TestSybilDetectsSwarm(t *testing.T) {
 
 	d := NewSybilDetector(DefaultThresholds())
 	res := d.Detect(l)
-	if len(res.Findings) != 1 || !res.HasTarget(1) {
+	if len(res.Findings) != 1 || !hasTarget(res, 1) {
 		t.Fatalf("findings = %+v, want target 1", res.Findings)
 	}
 	f := res.Findings[0]
@@ -50,7 +71,7 @@ func TestSybilDetectsSwarm(t *testing.T) {
 	if res.Flagged[5] {
 		t.Fatal("honest node flagged")
 	}
-	nodes := res.FlaggedNodes()
+	nodes := flaggedNodes(res.Flagged)
 	if len(nodes) != 5 {
 		t.Fatalf("flagged = %v", nodes)
 	}
@@ -76,7 +97,7 @@ func TestPairAndGroupDetectorsMissSwarm(t *testing.T) {
 	if res := NewGroupDetector(DefaultThresholds()).Detect(l); len(res.Groups) != 0 {
 		t.Fatalf("group detector flagged swarm: %+v", res.Groups)
 	}
-	if res := NewSybilDetector(DefaultThresholds()).Detect(l); !res.HasTarget(1) {
+	if res := NewSybilDetector(DefaultThresholds()).Detect(l); !hasTarget(res, 1) {
 		t.Fatalf("sybil detector missed swarm: %+v", res.Findings)
 	}
 }
@@ -109,7 +130,7 @@ func TestSybilBelowMinBoosters(t *testing.T) {
 	}
 	d := NewSybilDetector(DefaultThresholds())
 	d.MinBoosters = 2
-	if res := d.Detect(l); !res.HasTarget(1) {
+	if res := d.Detect(l); !hasTarget(res, 1) {
 		t.Fatal("MinBoosters=2 should catch the two-booster swarm")
 	}
 }
@@ -134,7 +155,7 @@ func TestSybilNoOutsideRatingsIsSuspicious(t *testing.T) {
 	l := reputation.NewLedger(n)
 	plantSwarm(l, 1, []int{10, 11, 12}, 25)
 	res := NewSybilDetector(DefaultThresholds()).Detect(l)
-	if !res.HasTarget(1) {
+	if !hasTarget(res, 1) {
 		t.Fatalf("swarm-only reputation not flagged: %+v", res.Findings)
 	}
 }
@@ -149,7 +170,7 @@ func TestSybilMultipleTargets(t *testing.T) {
 		l.Record(26+k%3, 2, -1)
 	}
 	res := NewSybilDetector(DefaultThresholds()).Detect(l)
-	if !res.HasTarget(1) || !res.HasTarget(2) {
+	if !hasTarget(res, 1) || !hasTarget(res, 2) {
 		t.Fatalf("findings = %+v, want targets 1 and 2", res.Findings)
 	}
 }

@@ -86,14 +86,6 @@ func (t Thresholds) Validate() error {
 	return nil
 }
 
-// FormulaReputation evaluates Formula (1): the summation reputation of a
-// node that received ni ratings in total, nij of them from one rater whose
-// positive share is a, while the positive share of the other ni-nij
-// ratings is b. The identity holds exactly when every rating is ±1.
-func FormulaReputation(ni, nij int, a, b float64) float64 {
-	return 2*b*float64(ni-nij) + 2*a*float64(nij) - float64(ni)
-}
-
 // ReputationBounds returns the Formula (2) interval [lo, hi]: if the
 // rater's positive share is at least Ta and everyone else's share is at
 // most Tb, the node's summation reputation must lie within it.

@@ -188,11 +188,6 @@ type Options struct {
 	Progress *obs.Progress
 }
 
-// DefaultOptions mirrors the paper's averaging (5 runs).
-func DefaultOptions() Options {
-	return Options{Seed: 1, Runs: 5, Scale: 1.0}
-}
-
 func (o Options) normalized() Options {
 	if o.Runs < 1 {
 		o.Runs = 1

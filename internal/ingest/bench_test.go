@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/p2psim/collusion/internal/core"
-	"github.com/p2psim/collusion/internal/reputation"
 	"github.com/p2psim/collusion/internal/rng"
 )
 
@@ -132,14 +131,14 @@ func BenchmarkWindowedFullDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowRolloverRemerge is the pre-change baseline: the
-// reputation.WindowedLedger re-merges every period of the ring each time
-// the window is read, paying O(window · nnz) per cycle.
+// BenchmarkWindowRolloverRemerge is the baseline: the reference
+// WindowedLedger re-merges every period of the ring each time the window
+// is read, paying O(window · nnz) per cycle.
 func BenchmarkWindowRolloverRemerge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := rng.New(7)
-		w := reputation.NewWindowedLedger(windowBenchNodes, windowBenchLength)
+		w := NewWindowedLedger(windowBenchNodes, windowBenchLength)
 		sink := 0
 		for c := 0; c < windowBenchCycles; c++ {
 			for k := 0; k < windowBenchRate; k++ {

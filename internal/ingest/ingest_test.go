@@ -31,7 +31,7 @@ func requireLedgersEqual(t *testing.T, step string, got, want *reputation.Ledger
 		}
 		if got.TotalFor(target) != want.TotalFor(target) ||
 			got.PositiveFor(target) != want.PositiveFor(target) ||
-			got.NegativeFor(target) != want.NegativeFor(target) ||
+			got.SummationScore(target) != want.SummationScore(target) ||
 			got.OutgoingTotal(target) != want.OutgoingTotal(target) {
 			t.Fatalf("%s: target %d totals differ", step, target)
 		}

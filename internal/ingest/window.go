@@ -9,13 +9,14 @@ import (
 
 // WindowLedger maintains a sliding window of rating periods as a ring of
 // per-cycle CSR delta ledgers plus one incrementally-maintained merged
-// view. Where reputation.WindowedLedger re-merges every period of the ring
-// each time the window is read — O(window · nnz) per cycle — WindowLedger
-// pays only for what changed: sealing a cycle merges its delta into the
-// window and, once the ring is full, subtracts the expiring delta
+// view. Where a from-scratch window re-merges every period of the ring
+// each time it is read — O(window · nnz) per cycle — WindowLedger pays
+// only for what changed: sealing a cycle merges its delta into the window
+// and, once the ring is full, subtracts the expiring delta
 // (Ledger.Subtract is the exact inverse of Merge, so the merged view is
 // observationally identical to a from-scratch re-merge; the property test
-// pins this against reputation.WindowedLedger over a thousand cycles).
+// pins this against the re-merging WindowedLedger of the package tests
+// over a thousand cycles).
 //
 // Usage follows the simulation loop: Record a cycle's ratings (here or
 // into Current), Roll once when the cycle closes, then read Window. The merged view is live and stable — the same *Ledger instance
@@ -33,7 +34,6 @@ type WindowLedger struct {
 	cur    *reputation.Ledger // the open period's delta
 	merged *reputation.Ledger // incrementally-maintained window view
 
-	rolled    int // cycles sealed so far
 	deltaRows int // distinct targets in the most recently sealed delta
 
 	// Obs, if non-nil, receives two per-Roll histograms:
@@ -70,16 +70,6 @@ func NewWindowLedger(n, window int) *WindowLedger {
 		merged: reputation.NewLedger(n),
 	}
 }
-
-// Size returns the node population.
-func (w *WindowLedger) Size() int { return w.n }
-
-// WindowLength returns the number of periods the window spans.
-func (w *WindowLedger) WindowLength() int { return w.window }
-
-// Periods returns how many sealed periods currently contribute to the
-// merged window (0..window).
-func (w *WindowLedger) Periods() int { return w.filled }
 
 // Record stores one rating in the open period.
 func (w *WindowLedger) Record(rater, target, polarity int) {
@@ -143,7 +133,6 @@ func (w *WindowLedger) roll() []int {
 	} else {
 		w.cur = reputation.NewLedger(w.n)
 	}
-	w.rolled++
 	dirty := w.merged.DirtyTargets()
 	w.merged.ClearDirty()
 	w.Obs.Histogram("window.delta_rows_per_cycle").Observe(int64(w.deltaRows))
@@ -162,6 +151,3 @@ func (w *WindowLedger) Window() *reputation.Ledger { return w.merged }
 // DeltaRows returns how many target rows the most recently sealed period
 // touched — the window.delta_rows gauge the CLIs export after a run.
 func (w *WindowLedger) DeltaRows() int { return w.deltaRows }
-
-// Rolled returns how many periods have been sealed.
-func (w *WindowLedger) Rolled() int { return w.rolled }

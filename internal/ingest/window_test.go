@@ -26,12 +26,12 @@ func windowRowsEqual(a, b *reputation.Ledger, t int) bool {
 	}
 	return a.TotalFor(t) == b.TotalFor(t) &&
 		a.PositiveFor(t) == b.PositiveFor(t) &&
-		a.NegativeFor(t) == b.NegativeFor(t)
+		a.SummationScore(t) == b.SummationScore(t)
 }
 
 // TestWindowLedgerMatchesBruteForce is the delta-ring correctness gate:
 // over 1000 random cycles the incrementally-maintained window must be
-// observationally identical to reputation.WindowedLedger's full re-merge
+// observationally identical to WindowedLedger's full re-merge
 // at every cycle boundary. The protocols align as follows: the reference
 // records into its open period and its Window() merges the open period
 // with the sealed ones, while WindowLedger seals via Roll before reading
@@ -51,8 +51,9 @@ func TestWindowLedgerMatchesBruteForce(t *testing.T) {
 		cycles = 1000
 	)
 	win := NewWindowLedger(n, window)
-	ref := reputation.NewWindowedLedger(n, window)
-	prev := win.Window().Clone()
+	ref := NewWindowedLedger(n, window)
+	prev := reputation.NewLedger(n)
+	win.Window().CloneInto(prev)
 	prevGen := make([]uint64, n)
 	for cycle := 1; cycle <= cycles; cycle++ {
 		count := r.Intn(120)
@@ -66,8 +67,8 @@ func TestWindowLedgerMatchesBruteForce(t *testing.T) {
 			ref.Record(rater, target, pol)
 		}
 		dirty := win.Roll()
-		if win.Periods() != ref.Periods() {
-			t.Fatalf("cycle %d: Periods = %d, want %d", cycle, win.Periods(), ref.Periods())
+		if win.filled != ref.Periods() {
+			t.Fatalf("cycle %d: sealed periods = %d, want %d", cycle, win.filled, ref.Periods())
 		}
 		requireLedgersEqual(t, "window", win.Window(), ref.Window(), false)
 		ref.Advance()
@@ -92,10 +93,7 @@ func TestWindowLedgerMatchesBruteForce(t *testing.T) {
 			}
 			prevGen[row] = win.Window().RowGen(row)
 		}
-		prev = win.Window().Clone()
-	}
-	if win.Rolled() != cycles {
-		t.Fatalf("Rolled = %d, want %d", win.Rolled(), cycles)
+		win.Window().CloneInto(prev)
 	}
 }
 

@@ -21,7 +21,6 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"io"
 	"math"
 	"os"
 	"strconv"
@@ -95,23 +94,6 @@ func (s *BufferSink) Close() error { return nil }
 
 // Bytes returns the collected trace.
 func (s *BufferSink) Bytes() []byte { return s.buf.Bytes() }
-
-// WriterSink adapts any io.Writer into a Sink.
-type WriterSink struct {
-	w io.Writer
-}
-
-// NewWriterSink returns a sink writing to w.
-func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
-
-// WriteTrace implements Sink.
-func (s *WriterSink) WriteTrace(p []byte) error {
-	_, err := s.w.Write(p)
-	return err
-}
-
-// Close implements Sink.
-func (s *WriterSink) Close() error { return nil }
 
 // FileSink writes buffered JSONL to a file; Close flushes and closes it.
 type FileSink struct {

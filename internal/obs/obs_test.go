@@ -196,27 +196,6 @@ func TestJoinPropagatesChildError(t *testing.T) {
 	}
 }
 
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, errSinkBroken }
-
-func TestWriterSink(t *testing.T) {
-	var buf strings.Builder
-	s := NewWriterSink(&buf)
-	if err := s.WriteTrace([]byte("x\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "x\n" {
-		t.Fatalf("wrote %q", buf.String())
-	}
-	if err := NewWriterSink(failWriter{}).WriteTrace([]byte("x")); !errors.Is(err, errSinkBroken) {
-		t.Fatalf("failing writer error = %v", err)
-	}
-}
-
 func TestFileSink(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	sink, err := NewFileSink(path)

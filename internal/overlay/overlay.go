@@ -92,16 +92,8 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Config returns the configuration the overlay was built with.
-func (n *Network) Config() Config { return n.cfg }
-
 // Size returns the number of nodes.
 func (n *Network) Size() int { return n.cfg.Nodes }
-
-// Interests returns the sorted interest categories of a node.
-func (n *Network) Interests(node int) []int {
-	return append([]int(nil), n.interests[node]...)
-}
 
 // HasInterest reports whether the node belongs to the category's cluster.
 func (n *Network) HasInterest(node, category int) bool {
@@ -111,11 +103,6 @@ func (n *Network) HasInterest(node, category int) bool {
 		}
 	}
 	return false
-}
-
-// Cluster returns the sorted members of a category's cluster.
-func (n *Network) Cluster(category int) []int {
-	return append([]int(nil), n.clusters[category]...)
 }
 
 // Neighbors returns the node's cluster peers for one category: every other
@@ -133,24 +120,6 @@ func (n *Network) Neighbors(node, category int) []int {
 		}
 	}
 	return out
-}
-
-// SharesInterest reports whether two nodes belong to at least one common
-// cluster.
-func (n *Network) SharesInterest(a, b int) bool {
-	ia, ib := n.interests[a], n.interests[b]
-	i, j := 0, 0
-	for i < len(ia) && j < len(ib) {
-		switch {
-		case ia[i] == ib[j]:
-			return true
-		case ia[i] < ib[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }
 
 // RandomInterest returns one of the node's interests chosen uniformly.

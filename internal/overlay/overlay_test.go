@@ -36,9 +36,9 @@ func TestInterestsWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := net.Config()
+	cfg := net.cfg
 	for node := 0; node < net.Size(); node++ {
-		ints := net.Interests(node)
+		ints := net.interests[node]
 		if len(ints) < cfg.InterestsPerNode[0] || len(ints) > cfg.InterestsPerNode[1] {
 			t.Fatalf("node %d has %d interests", node, len(ints))
 		}
@@ -60,8 +60,8 @@ func TestClustersConsistentWithInterests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cat := 0; cat < net.Config().InterestCategories; cat++ {
-		for _, member := range net.Cluster(cat) {
+	for cat := 0; cat < net.cfg.InterestCategories; cat++ {
+		for _, member := range net.clusters[cat] {
 			if !net.HasInterest(member, cat) {
 				t.Fatalf("node %d in cluster %d without the interest", member, cat)
 			}
@@ -69,9 +69,9 @@ func TestClustersConsistentWithInterests(t *testing.T) {
 	}
 	// Converse: each node appears in each of its interest clusters.
 	for node := 0; node < net.Size(); node++ {
-		for _, cat := range net.Interests(node) {
+		for _, cat := range net.interests[node] {
 			found := false
-			for _, m := range net.Cluster(cat) {
+			for _, m := range net.clusters[cat] {
 				if m == node {
 					found = true
 					break
@@ -90,7 +90,7 @@ func TestNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := 0
-	cats := net.Interests(node)
+	cats := net.interests[node]
 	nbrs := net.Neighbors(node, cats[0])
 	for _, nb := range nbrs {
 		if nb == node {
@@ -101,33 +101,12 @@ func TestNeighbors(t *testing.T) {
 		}
 	}
 	// A category the node does not hold yields no neighbors.
-	for cat := 0; cat < net.Config().InterestCategories; cat++ {
+	for cat := 0; cat < net.cfg.InterestCategories; cat++ {
 		if !net.HasInterest(node, cat) {
 			if got := net.Neighbors(node, cat); got != nil {
 				t.Fatalf("Neighbors for foreign category = %v", got)
 			}
 			break
-		}
-	}
-}
-
-func TestSharesInterest(t *testing.T) {
-	net, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < 50; a++ {
-		for b := 0; b < 50; b++ {
-			want := false
-			for _, ca := range net.Interests(a) {
-				if net.HasInterest(b, ca) {
-					want = true
-					break
-				}
-			}
-			if got := net.SharesInterest(a, b); got != want {
-				t.Fatalf("SharesInterest(%d,%d) = %v, want %v", a, b, got, want)
-			}
 		}
 	}
 }
@@ -142,7 +121,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for node := 0; node < a.Size(); node++ {
-		ia, ib := a.Interests(node), b.Interests(node)
+		ia, ib := a.interests[node], b.interests[node]
 		if len(ia) != len(ib) {
 			t.Fatalf("node %d interest counts differ", node)
 		}
@@ -183,11 +162,11 @@ func TestQuickMembershipConservation(t *testing.T) {
 		}
 		fromInterests := 0
 		for node := 0; node < net.Size(); node++ {
-			fromInterests += len(net.Interests(node))
+			fromInterests += len(net.interests[node])
 		}
 		fromClusters := 0
 		for cat := 0; cat < cfg.InterestCategories; cat++ {
-			fromClusters += len(net.Cluster(cat))
+			fromClusters += len(net.clusters[cat])
 		}
 		return fromInterests == fromClusters
 	}

@@ -1,7 +1,6 @@
 package reputation
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -448,20 +447,4 @@ func intSlice(s []int, n int) []int {
 		return make([]int, n)
 	}
 	return s[:n]
-}
-
-// CheckDistribution verifies that scores form a probability distribution
-// within tolerance; the EigenTrust property tests use it.
-func CheckDistribution(scores []float64, tol float64) error {
-	sum := 0.0
-	for i, s := range scores {
-		if s < -tol {
-			return fmt.Errorf("reputation: score %d is negative: %v", i, s)
-		}
-		sum += s
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("reputation: scores sum to %v, want 1", sum)
-	}
-	return nil
 }

@@ -1,10 +1,5 @@
 package reputation
 
-import (
-	"fmt"
-	"math"
-)
-
 // Engine computes a global reputation score for every node from a period's
 // ledger. Implementations must not mutate the ledger.
 type Engine interface {
@@ -104,33 +99,4 @@ func Normalize(scores []float64) []float64 {
 		out[i] /= total
 	}
 	return out
-}
-
-// Threshold classifies nodes against a reputation threshold T_R: indices
-// with score >= tr are returned as trustworthy.
-func Threshold(scores []float64, tr float64) []int {
-	var out []int
-	for i, s := range scores {
-		if s >= tr {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ValidateEngine asserts an engine produces one finite score per node; it
-// is used by tests and by the simulator's startup checks.
-func ValidateEngine(e Engine, l *Ledger) error {
-	scores := e.Scores(l)
-	if len(scores) != l.Size() {
-		return fmt.Errorf("reputation: engine %q returned %d scores for %d nodes",
-			e.Name(), len(scores), l.Size())
-	}
-	for i, s := range scores {
-		if math.IsNaN(s) || s > 1e18 || s < -1e18 {
-			return fmt.Errorf("reputation: engine %q produced non-finite score %v for node %d",
-				e.Name(), s, i)
-		}
-	}
-	return nil
 }

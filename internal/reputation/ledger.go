@@ -302,9 +302,6 @@ func (l *Ledger) TotalFor(target int) int { return int(l.recvTotal[target]) }
 // PositiveFor returns N+_i: positive ratings target received in T.
 func (l *Ledger) PositiveFor(target int) int { return int(l.recvPos[target]) }
 
-// NegativeFor returns N-_i: negative ratings target received in T.
-func (l *Ledger) NegativeFor(target int) int { return int(l.recvNeg[target]) }
-
 // OutgoingTotal returns the number of ratings rater issued in T, across
 // all targets. The Sybil detector uses it to measure a rater's
 // concentration on one beneficiary.
@@ -330,15 +327,6 @@ func (l *Ledger) PairPositive(target, rater int) int {
 	return 0
 }
 
-// PairNegative returns N-_(i,j).
-func (l *Ledger) PairNegative(target, rater int) int {
-	rs, _, _, neg := l.row(target)
-	if idx, found := findRater(rs, int32(rater)); found {
-		return int(neg[idx])
-	}
-	return 0
-}
-
 // OthersTotal returns N_(i,-j): ratings target i received from everyone
 // except rater j.
 func (l *Ledger) OthersTotal(target, rater int) int {
@@ -357,50 +345,29 @@ func (l *Ledger) SummationScore(target int) int {
 	return int(l.recvPos[target] - l.recvNeg[target])
 }
 
-// LocalTrust returns s_ij, rater i's satisfaction with node j: positive
-// minus negative ratings i gave j. This is the EigenTrust local trust
-// input before normalization.
-func (l *Ledger) LocalTrust(rater, target int) int {
-	rs, _, pos, neg := l.row(target)
-	if idx, found := findRater(rs, int32(rater)); found {
-		return int(pos[idx] - neg[idx])
-	}
-	return 0
-}
-
-// Clone returns a deep copy of the ledger, including its dirty set and row
-// generations. The clone's arena is rebuilt compactly: each row lands in
-// the smallest span class that holds it.
-//
-// The clone owns its storage outright: no span, column view or counter is
-// shared with the original, so the two ledgers may mutate — Record, Merge,
-// Subtract, even Reset, in any interleaving — without ever observing each
-// other. In particular a Reset of the original recycles only the
-// *original's* arena spans through its own free lists; the clone's rows
-// live in the clone's arena and are untouched. The arena-recycling
-// property test in ledger_clone_test.go pins this across clone/mutate/
-// Reset interleavings against a dense reference.
-func (l *Ledger) Clone() *Ledger {
-	c := NewLedger(l.n)
-	l.CloneInto(c)
-	return c
-}
-
 // CloneInto freezes l's current contents into dst, which must cover the
 // same population. dst's previous contents are discarded: every existing
 // row span returns to dst's arena free lists before the copy, so repeated
 // CloneInto calls into the same destination recycle the same chunks and
 // allocate only while dst's arena is still growing toward l's footprint —
-// the steady state is allocation-free. This is the snapshot freeze path of
-// the resident service (internal/service): the single writer clones the
-// period ledger into a recycled snapshot ledger each epoch, and concurrent
-// readers of previously published clones are safe because, like Clone, the
-// destination shares no storage with l.
+// the steady state is allocation-free. Each row lands in the smallest span
+// class that holds it. This is the snapshot freeze path of the resident
+// service (internal/service): the single writer clones the period ledger
+// into a recycled snapshot ledger each epoch, and concurrent readers of
+// previously published clones are safe because the destination shares no
+// storage with l.
+//
+// The copy owns its storage outright: no span, column view or counter is
+// shared with l, so the two ledgers may mutate — Record, Merge, Subtract,
+// even Reset, in any interleaving — without ever observing each other. In
+// particular a Reset of l recycles only l's arena spans through its own
+// free lists; dst's rows live in dst's arena and are untouched. The
+// arena-recycling property test in ledger_clone_test.go pins this across
+// clone/mutate/Reset interleavings against a dense reference.
 //
 // dst's dirty set, dirty list and row generations are overwritten with
-// copies of l's, exactly as Clone produces. It panics if the populations
-// differ: recycling a snapshot across population changes is a programming
-// error.
+// copies of l's. It panics if the populations differ: recycling a snapshot
+// across population changes is a programming error.
 func (l *Ledger) CloneInto(dst *Ledger) {
 	if dst.n != l.n {
 		panic(fmt.Sprintf("reputation: CloneInto ledger of size %d from size %d", dst.n, l.n))

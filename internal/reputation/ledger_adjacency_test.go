@@ -74,7 +74,7 @@ func TestRatersOfMatchesBruteForce(t *testing.T) {
 			side.Reset()
 			checkAdjacency(t, side, "side after Reset")
 		case op < 97: // Clone must carry an independent, correct adjacency
-			c := l.Clone()
+			c := cloneLedger(l)
 			checkAdjacency(t, c, "clone")
 			// Mutating the clone must not leak into the original.
 			a, b := r.Intn(n), r.Intn(n)

@@ -6,6 +6,13 @@ import (
 	"github.com/p2psim/collusion/internal/rng"
 )
 
+// cloneLedger returns a deep copy of l in a fresh ledger.
+func cloneLedger(l *Ledger) *Ledger {
+	c := NewLedger(l.Size())
+	l.CloneInto(c)
+	return c
+}
+
 // TestCloneMidWindowAgainstDense property-tests the snapshot-freeze
 // contract: a clone taken mid-window must keep matching the dense
 // reference captured at clone time while the original ledger keeps
@@ -66,7 +73,7 @@ func TestCloneMidWindowAgainstDense(t *testing.T) {
 		densePeriods = append(densePeriods, denseDelta)
 
 		// Mid-window freeze: clone now, remember the dense state now.
-		clones = append(clones, frozen{clone: src.Clone(), ref: dense.clone(), step: "after period"})
+		clones = append(clones, frozen{clone: cloneLedger(src), ref: dense.clone(), step: "after period"})
 
 		// Retire the oldest period once the window is over capacity.
 		if len(periods) > 3 {

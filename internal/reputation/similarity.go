@@ -60,8 +60,7 @@ func (e *SimilarityWeighted) params() (minOverlap int, neutral float64) {
 // Scores implements Engine.
 func (e *SimilarityWeighted) Scores(l *Ledger) []float64 {
 	n := l.Size()
-	minOverlap, neutral := e.params()
-	credibility := e.credibilityWeights(l, consensusShares(l), minOverlap, neutral, e.Meter)
+	credibility := e.credibilityWeights(l)
 
 	// Credibility-weighted summation: only the target's active raters have
 	// nonzero local trust, and the ascending adjacency keeps the float
@@ -83,13 +82,6 @@ func (e *SimilarityWeighted) Scores(l *Ledger) []float64 {
 	return Normalize(raw)
 }
 
-// Credibilities exposes the per-rater credibility weights for one ledger,
-// for diagnostics and tests. Unlike Scores it charges no meter cost.
-func (e *SimilarityWeighted) Credibilities(l *Ledger) []float64 {
-	minOverlap, neutral := e.params()
-	return e.credibilityWeights(l, consensusShares(l), minOverlap, neutral, nil)
-}
-
 // consensusShares returns each target's all-rater positive share (zero for
 // unrated targets).
 func consensusShares(l *Ledger) []float64 {
@@ -109,8 +101,10 @@ func consensusShares(l *Ledger) []float64 {
 // accumulate in exactly the order of the old dense column scan (a rated
 // pair implies the target has ratings, hence a consensus share, and
 // self-rated pairs cannot exist — the two skips the dense scan needed).
-func (e *SimilarityWeighted) credibilityWeights(l *Ledger, consensus []float64, minOverlap int, neutral float64, meter *metrics.CostMeter) []float64 {
+func (e *SimilarityWeighted) credibilityWeights(l *Ledger) []float64 {
 	n := l.Size()
+	minOverlap, neutral := e.params()
+	consensus := consensusShares(l)
 	off := make([]int, n+1)
 	for target := 0; target < n; target++ {
 		pc := l.PairCountsOf(target)
@@ -142,8 +136,8 @@ func (e *SimilarityWeighted) credibilityWeights(l *Ledger, consensus []float64, 
 			sumSq += dev[at] * dev[at]
 		}
 		overlap := off[rater+1] - off[rater]
-		if meter != nil {
-			meter.Add(metrics.CostEigenMulAdd, int64(n))
+		if e.Meter != nil {
+			e.Meter.Add(metrics.CostEigenMulAdd, int64(n))
 		}
 		if overlap < minOverlap {
 			out[rater] = neutral

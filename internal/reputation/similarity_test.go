@@ -24,7 +24,7 @@ func buildConsensusLedger() *Ledger {
 func TestSimilarityCredibilityAgreement(t *testing.T) {
 	l := buildConsensusLedger()
 	e := NewSimilarityWeighted()
-	cr := e.Credibilities(l)
+	cr := e.credibilityWeights(l)
 	// Raters 0-5 agree perfectly with consensus: credibility 1.
 	for rater := 0; rater < 6; rater++ {
 		if math.Abs(cr[rater]-1) > 1e-9 {
@@ -45,7 +45,7 @@ func TestSimilarityCredibilityDeviation(t *testing.T) {
 		l.Record(11, 7, -1)
 		l.Record(11, 8, 1)
 	}
-	cr := NewSimilarityWeighted().Credibilities(l)
+	cr := NewSimilarityWeighted().credibilityWeights(l)
 	if cr[11] > 0.3 {
 		t.Fatalf("contrarian credibility = %v, want near 0", cr[11])
 	}
@@ -94,7 +94,7 @@ func TestSimilarityDampensBoosting(t *testing.T) {
 	if simScores[17] > 0 {
 		t.Fatalf("similarity-weighted score = %v, want <= 0", simScores[17])
 	}
-	cr := sim.Credibilities(boosted)
+	cr := sim.credibilityWeights(boosted)
 	if cr[16] >= cr[0] {
 		t.Fatalf("booster credibility %v not below honest rater %v", cr[16], cr[0])
 	}

@@ -46,12 +46,12 @@ func requireLedgersEqual(t *testing.T, step string, got, want *Ledger) {
 		}
 		if got.TotalFor(target) != want.TotalFor(target) ||
 			got.PositiveFor(target) != want.PositiveFor(target) ||
-			got.NegativeFor(target) != want.NegativeFor(target) ||
+			got.recvNeg[target] != want.recvNeg[target] ||
 			got.OutgoingTotal(target) != want.OutgoingTotal(target) {
 			t.Fatalf("%s: target %d totals %d/%d/%d out %d, want %d/%d/%d out %d",
 				step, target,
-				got.TotalFor(target), got.PositiveFor(target), got.NegativeFor(target), got.OutgoingTotal(target),
-				want.TotalFor(target), want.PositiveFor(target), want.NegativeFor(target), want.OutgoingTotal(target))
+				got.TotalFor(target), got.PositiveFor(target), got.recvNeg[target], got.OutgoingTotal(target),
+				want.TotalFor(target), want.PositiveFor(target), want.recvNeg[target], want.OutgoingTotal(target))
 		}
 	}
 	gd, wd := got.DirtyTargets(), want.DirtyTargets()
@@ -77,7 +77,7 @@ func TestSubtractInvertsMerge(t *testing.T) {
 		delta := NewLedger(n)
 		randomRecords(r, n, r.Intn(200), delta)
 
-		sum := base.Clone()
+		sum := cloneLedger(base)
 		if err := sum.Merge(delta); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestSubtractInvertsMerge(t *testing.T) {
 		}
 		// Merge+Subtract dirties every row delta touched; mirror that on the
 		// expectation so the dirty sets compare equal.
-		want := base.Clone()
+		want := cloneLedger(base)
 		for target := 0; target < n; target++ {
 			if len(delta.RatersOf(target)) > 0 {
 				want.markDirty(target)

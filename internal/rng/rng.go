@@ -82,11 +82,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -157,17 +152,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1
-// (mean 1), via inverse transform sampling.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Poisson returns a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and a normal approximation above 64.
 // It panics if mean is negative.
@@ -233,33 +217,4 @@ func Pick[T any](r *Rand, xs []T) T {
 		panic("rng: Pick from empty slice")
 	}
 	return xs[r.Intn(len(xs))]
-}
-
-// WeightedPick returns an index in [0, len(weights)) chosen with probability
-// proportional to weights[i]. Negative weights are treated as zero. It
-// panics if the slice is empty or the total weight is zero.
-func (r *Rand) WeightedPick(weights []float64) int {
-	if len(weights) == 0 {
-		panic("rng: WeightedPick from empty slice")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		panic("rng: WeightedPick with zero total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -218,22 +218,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(15)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 returned negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want about 1", mean)
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	r := New(16)
 	for _, mean := range []float64{0, 0.5, 3, 20, 100} {
@@ -339,46 +323,6 @@ func TestPick(t *testing.T) {
 		if counts[k] < 800 {
 			t.Fatalf("Pick heavily skewed: %v", counts)
 		}
-	}
-}
-
-func TestWeightedPick(t *testing.T) {
-	r := New(21)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[r.WeightedPick(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index picked %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if math.Abs(ratio-3) > 0.3 {
-		t.Fatalf("weight ratio = %v, want about 3", ratio)
-	}
-}
-
-func TestWeightedPickNegativeTreatedAsZero(t *testing.T) {
-	r := New(22)
-	weights := []float64{-5, 2}
-	for i := 0; i < 1000; i++ {
-		if r.WeightedPick(weights) != 1 {
-			t.Fatal("negative-weight index was picked")
-		}
-	}
-}
-
-func TestWeightedPickPanics(t *testing.T) {
-	for _, weights := range [][]float64{nil, {0, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("WeightedPick(%v) did not panic", weights)
-				}
-			}()
-			New(1).WeightedPick(weights)
-		}()
 	}
 }
 

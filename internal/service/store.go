@@ -76,12 +76,12 @@ type Config struct {
 	// CycleTimer, if non-nil, brackets every epoch's detection pass (the
 	// wall-clock implementations live in internal/obs/prof).
 	CycleTimer obs.TimerFunc
-	// SnapshotPool bounds how many unpinned snapshots are kept for
-	// recycling; 0 selects a small default. More snapshots than this may
-	// be live at once under reader pressure — the excess is simply left
-	// to the garbage collector instead of reused.
-	SnapshotPool int
 }
+
+// snapshotPool bounds how many unpinned snapshots are kept for recycling.
+// More snapshots than this may be live at once under reader pressure —
+// the excess is simply left to the garbage collector instead of reused.
+const snapshotPool = 4
 
 // Store is the resident detection service core. See the package comment
 // for the concurrency model. Create with New, feed with Apply, query by
@@ -136,10 +136,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.WindowCycles < 0 {
 		return nil, fmt.Errorf("service: WindowCycles = %d, want >= 0", cfg.WindowCycles)
 	}
-	pool := cfg.SnapshotPool
-	if pool <= 0 {
-		pool = 4
-	}
 	th := cfg.Thresholds
 	if th == (core.Thresholds{}) {
 		th = core.DefaultThresholds()
@@ -158,7 +154,7 @@ func New(cfg Config) (*Store, error) {
 			Spans:        cfg.Spans,
 			CycleTimer:   cfg.CycleTimer,
 		}),
-		free:       make(chan *Snapshot, pool),
+		free:       make(chan *Snapshot, snapshotPool),
 		cmds:       make(chan command),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),

@@ -241,7 +241,7 @@ func TestStoreConcurrentClose(t *testing.T) {
 // pool size — the writer keeps refilling recycled storage instead of
 // allocating fresh snapshots every epoch.
 func TestSnapshotRecycling(t *testing.T) {
-	s := testStore(t, 16, Config{SnapshotPool: 2})
+	s := testStore(t, 16, Config{})
 	r := rng.New(11).Child("recycle")
 	seen := make(map[*Snapshot]struct{})
 	var batch []ingest.Rating
@@ -261,7 +261,8 @@ func TestSnapshotRecycling(t *testing.T) {
 		seen[sn] = struct{}{}
 		sn.Release()
 	}
-	// Pool of 2 plus the published snapshot and at most one in flight.
+	// Readers release promptly, so the published snapshot and one recycled
+	// spare alternate; 4 allows for one more in flight.
 	if len(seen) > 4 {
 		t.Fatalf("%d distinct snapshots across 40 epochs, want <= 4 (recycling broken)", len(seen))
 	}
@@ -277,7 +278,7 @@ func TestSnapshotRecycling(t *testing.T) {
 // one spare is used allocates one more.
 func TestSnapshotAllocationsCounted(t *testing.T) {
 	reg := obs.NewRegistry(nil)
-	s := testStore(t, 16, Config{SnapshotPool: 2, Obs: reg})
+	s := testStore(t, 16, Config{Obs: reg})
 	allocated := reg.Counter("service.snapshots_allocated")
 	r := rng.New(17).Child("allocations")
 	var batch []ingest.Rating
@@ -319,7 +320,7 @@ func TestAcquireNeverResurrects(t *testing.T) {
 		epochs  = 150
 		readers = 4
 	)
-	s := testStore(t, nodes, Config{SnapshotPool: 2})
+	s := testStore(t, nodes, Config{})
 	var stop atomic.Bool
 	var acquired atomic.Int64
 	var wg sync.WaitGroup

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"github.com/p2psim/collusion/internal/core"
+	"github.com/p2psim/collusion/internal/ingest"
 	"github.com/p2psim/collusion/internal/metrics"
 	"github.com/p2psim/collusion/internal/obs"
 	"github.com/p2psim/collusion/internal/overlay"
@@ -154,8 +155,7 @@ type Config struct {
 	WindowCycles int
 	// CollusionStartCycle is the 1-based simulation cycle at which
 	// colluders begin their rating floods; 0 or 1 means from the start.
-	// Later onsets model attackers who first build honest reputations
-	// (used by the detection-latency ablation).
+	// Later onsets model attackers who first build honest reputations.
 	CollusionStartCycle int
 	// ExplorationProb is the probability a client picks a uniformly random
 	// capable neighbor instead of the highest-reputed one. The paper's
@@ -231,6 +231,11 @@ type Config struct {
 	// outside the seeded trees; timing never feeds back into the
 	// simulation or its trace.
 	CycleTimer obs.TimerFunc
+
+	// cycleBatch, installed by NewBatchTap, receives each cycle's rating
+	// batch in record order, right before OnCycle fires. The slice is
+	// reused between cycles.
+	cycleBatch func(cycle int, batch []ingest.Rating)
 }
 
 // SimThresholds returns detection thresholds calibrated to the Section V

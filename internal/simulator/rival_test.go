@@ -49,14 +49,13 @@ func TestRivalFloodExposedByFrequencyFilter(t *testing.T) {
 	// run the Section III filter: the rival must surface with a = 0.
 	tr := &trace.Trace{}
 	for target := 0; target < cfg.Overlay.Nodes; target++ {
-		for rater := 0; rater < cfg.Overlay.Nodes; rater++ {
-			pos := res.Ledger.PairPositive(target, rater)
-			neg := res.Ledger.PairNegative(target, rater)
-			for k := 0; k < pos; k++ {
+		pc := res.Ledger.PairCountsOf(target)
+		for i, rater := range pc.Raters {
+			for k := int32(0); k < pc.Pos[i]; k++ {
 				tr.Ratings = append(tr.Ratings, trace.Rating{
 					Rater: trace.NodeID(rater), Target: trace.NodeID(target), Score: 5})
 			}
-			for k := 0; k < neg; k++ {
+			for k := int32(0); k < pc.Neg[i]; k++ {
 				tr.Ratings = append(tr.Ratings, trace.Rating{
 					Rater: trace.NodeID(rater), Target: trace.NodeID(target), Score: 1})
 			}

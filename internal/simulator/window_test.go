@@ -105,7 +105,7 @@ func TestOnsetSuppressesEarlyFlood(t *testing.T) {
 // A tight two-cycle window still catches continuous collusion: every
 // window contains at least one full cycle of flooding, far above T_N.
 // (The forgetting semantics of the window itself — evicted periods no
-// longer counting — is covered by the reputation.WindowedLedger tests.)
+// longer counting — is covered by the internal/ingest window tests.)
 func TestTightWindowStillDetects(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ColluderGoodProb = 0.2

@@ -1,6 +1,6 @@
 // Package stats provides the small descriptive-statistics toolkit used by
-// the trace analyses and experiment harnesses: running summaries, fixed-bin
-// histograms, and per-day time bucketing.
+// the trace analyses and experiment harnesses: running summaries and the
+// Gini coefficient.
 package stats
 
 import (
@@ -36,24 +36,11 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddAll folds every observation into the summary.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Variance returns the unbiased sample variance (0 with fewer than two
 // observations).
@@ -71,129 +58,6 @@ func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Median returns the median of xs (0 for empty input). The input is not
-// modified.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-quantile of xs using linear interpolation between
-// order statistics. q is clamped to [0, 1]; empty input yields 0. The input
-// is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Histogram is a fixed-width binning of values over [Lo, Hi). Values
-// outside the range are clamped into the first or last bin so totals are
-// preserved, which the figure harnesses rely on.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram creates a histogram of bins equal-width bins over [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with bins <= 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int {
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
-}
-
-// DailyCounts buckets event days into a per-day count series of the given
-// length. Days outside [0, days) are ignored.
-func DailyCounts(eventDays []int, days int) []int {
-	counts := make([]int, days)
-	for _, d := range eventDays {
-		if d >= 0 && d < days {
-			counts[d]++
-		}
-	}
-	return counts
-}
-
-// RatePerDay summarizes a per-day count series: the mean over all days and
-// the maximum and minimum daily counts across the window. The paper's
-// Figure 1(c) reports exactly these three values per rater.
-func RatePerDay(counts []int) (mean, max, min float64) {
-	if len(counts) == 0 {
-		return 0, 0, 0
-	}
-	total := 0
-	maxC, minC := counts[0], counts[0]
-	for _, c := range counts {
-		total += c
-		if c > maxC {
-			maxC = c
-		}
-		if c < minC {
-			minC = c
-		}
-	}
-	return float64(total) / float64(len(counts)), float64(maxC), float64(minC)
 }
 
 // Gini returns the Gini coefficient of the non-negative values in xs —

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -14,7 +13,9 @@ func TestSummaryBasics(t *testing.T) {
 	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 {
 		t.Fatal("zero-value summary not empty")
 	}
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		s.Add(x)
+	}
 	if s.N() != 8 {
 		t.Fatalf("N = %d, want 8", s.N())
 	}
@@ -25,8 +26,8 @@ func TestSummaryBasics(t *testing.T) {
 	if !almost(s.Variance(), 32.0/7.0, 1e-12) {
 		t.Fatalf("Variance = %v, want %v", s.Variance(), 32.0/7.0)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
+	if s.min != 2 || s.max != 9 {
+		t.Fatalf("min/max = %v/%v, want 2/9", s.min, s.max)
 	}
 }
 
@@ -36,14 +37,16 @@ func TestSummarySingleObservation(t *testing.T) {
 	if s.Variance() != 0 || s.StdDev() != 0 {
 		t.Fatal("variance of one observation should be 0")
 	}
-	if s.Min() != 3.5 || s.Max() != 3.5 {
+	if s.min != 3.5 || s.max != 3.5 {
 		t.Fatal("min/max wrong for single observation")
 	}
 }
 
 func TestSummaryString(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{1, 2, 3})
+	for _, x := range []float64{1, 2, 3} {
+		s.Add(x)
+	}
 	if got := s.String(); got == "" {
 		t.Fatal("empty String()")
 	}
@@ -60,9 +63,13 @@ func TestQuickSummaryMatchesNaive(t *testing.T) {
 			xs[i] = float64(v)
 		}
 		var s Summary
-		s.AddAll(xs)
+		sum := 0.0
+		for _, x := range xs {
+			s.Add(x)
+			sum += x
+		}
 
-		mean := Mean(xs)
+		mean := sum / float64(len(xs))
 		varSum := 0.0
 		for _, x := range xs {
 			varSum += (x - mean) * (x - mean)
@@ -76,194 +83,10 @@ func TestQuickSummaryMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{3}, 3},
-		{[]float64{1, 3}, 2},
-		{[]float64{5, 1, 3}, 3},
-		{[]float64{4, 1, 3, 2}, 2.5},
-	}
-	for _, c := range cases {
-		if got := Median(c.in); !almost(got, c.want, 1e-12) {
-			t.Errorf("Median(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 10}, {1, 50}, {-0.5, 10}, {2, 50},
-		{0.5, 30}, {0.25, 20}, {0.75, 40}, {0.1, 14},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almost(got, c.want, 1e-9) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-// Property: quantiles are monotone in q and bounded by min/max.
-func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(raw []int8, qa, qb uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		a := float64(qa) / 255
-		b := float64(qb) / 255
-		if a > b {
-			a, b = b, a
-		}
-		va, vb := Quantile(xs, a), Quantile(xs, b)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		return va <= vb+1e-9 && va >= sorted[0]-1e-9 && vb <= sorted[len(sorted)-1]+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99} {
-		h.Add(x)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", h.Total())
-	}
-}
-
-func TestHistogramClampsOutliers(t *testing.T) {
-	h := NewHistogram(0, 10, 2)
-	h.Add(-100)
-	h.Add(100)
-	h.Add(10) // exactly Hi clamps into the last bin
-	if h.Counts[0] != 1 || h.Counts[1] != 2 {
-		t.Fatalf("Counts = %v, want [1 2]", h.Counts)
-	}
-	if h.Total() != 3 {
-		t.Fatalf("Total = %d, want 3 (clamping must preserve totals)", h.Total())
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); !almost(got, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); !almost(got, 9, 1e-12) {
-		t.Fatalf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid histogram construction did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestDailyCounts(t *testing.T) {
-	counts := DailyCounts([]int{0, 0, 2, 5, -1, 9}, 5)
-	want := []int{2, 0, 1, 0, 0}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("DailyCounts = %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestRatePerDay(t *testing.T) {
-	mean, max, min := RatePerDay([]int{0, 2, 4, 2})
-	if !almost(mean, 2, 1e-12) || max != 4 || min != 0 {
-		t.Fatalf("RatePerDay = %v/%v/%v, want 2/4/0", mean, max, min)
-	}
-	mean, max, min = RatePerDay(nil)
-	if mean != 0 || max != 0 || min != 0 {
-		t.Fatal("RatePerDay(nil) should be all zeros")
-	}
-}
-
-// Property: daily bucketing conserves in-window events.
-func TestQuickDailyCountsConserve(t *testing.T) {
-	f := func(days []uint8) bool {
-		const window = 64
-		in := make([]int, len(days))
-		inWindow := 0
-		for i, d := range days {
-			in[i] = int(d)
-			if int(d) < window {
-				inWindow++
-			}
-		}
-		counts := DailyCounts(in, window)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == inWindow
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkSummaryAdd(b *testing.B) {
 	var s Summary
 	for i := 0; i < b.N; i++ {
 		s.Add(float64(i % 1000))
-	}
-}
-
-func BenchmarkQuantile(b *testing.B) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64((i * 7919) % 1000)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Quantile(xs, 0.95)
 	}
 }
 

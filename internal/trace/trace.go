@@ -71,17 +71,6 @@ type GroundTruth struct {
 	Rivals map[NodeID][]NodeID
 }
 
-// IsColludingPair reports whether {a, b} is a planted colluding pair, in
-// either orientation.
-func (g GroundTruth) IsColludingPair(a, b NodeID) bool {
-	for _, p := range g.ColludingPairs {
-		if (p[0] == a && p[1] == b) || (p[0] == b && p[1] == a) {
-			return true
-		}
-	}
-	return false
-}
-
 // IsBooster reports whether rater was planted to boost seller.
 func (g GroundTruth) IsBooster(seller, rater NodeID) bool {
 	for _, r := range g.Boosters[seller] {
@@ -122,17 +111,6 @@ func (t *Trace) distinct(key func(Rating) NodeID) []NodeID {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ForTarget returns the ratings received by target, in trace order.
-func (t *Trace) ForTarget(target NodeID) []Rating {
-	var out []Rating
-	for _, r := range t.Ratings {
-		if r.Target == target {
-			out = append(out, r)
-		}
-	}
 	return out
 }
 
